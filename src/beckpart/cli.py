@@ -27,7 +27,20 @@ from .partitions import (
 )
 
 IDENTITIES = ("beck3", "beck1", "beck2", "glaisher", "series")
-MAPS = ("xi", "xi-inv", "phi", "psi1", "psi2", "psi-o", "psi-d", "psi-t", "zeta")
+
+# map -> (forward, inverse, needs t); "xi-inv" is xi_inverse in both directions
+_BIJECTIONS = {
+    "xi": (bijections.xi_forward, bijections.xi_inverse, False),
+    "xi-inv": (bijections.xi_inverse, bijections.xi_inverse, False),
+    "phi": (bijections.phi_forward, bijections.phi_inverse, False),
+    "psi1": (bijections.psi1_forward, bijections.psi1_inverse, True),
+    "psi2": (bijections.psi2_forward, bijections.psi2_inverse, True),
+    "psi-o": (bijections.psi_o_forward, bijections.psi_o_inverse, False),
+    "psi-d": (bijections.psi_d_forward, bijections.psi_d_inverse, False),
+    "psi-t": (bijections.psi_t_forward, bijections.psi_t_inverse, False),
+    "zeta": (bijections.zeta_forward, bijections.zeta_inverse, False),
+}
+MAPS = tuple(_BIJECTIONS)
 
 
 @dataclass
@@ -190,13 +203,17 @@ def _cmd_enumerate(args, out):
         stream = families.enumerate_family(args.n, Family(args.family), args.r, args.t)
     else:
         stream = families.enumerate_pairs(args.n, PairSet(args.pairset), args.r, args.t)
-    items = list(stream)
     if args.format == "json":
-        print(json.dumps([_element_json(x) for x in items]), file=out)
+        print(json.dumps([_element_json(x) for x in stream]), file=out)
     else:
-        for x in items:
+        for x in stream:
             print(_render_element(x), file=out)
     return 0
+
+
+def _check_n_max(args):
+    if args.n_max is not None and args.n_max < 0:
+        raise ValueError(f"--n-max must be a non-negative integer, got {args.n_max}")
 
 
 def _cmd_count(args, out):
@@ -205,6 +222,7 @@ def _cmd_count(args, out):
     n_top = args.n if args.n_max is None else args.n_max
     if n_top is None:
         raise ValueError("count needs --n or --n-max")
+    _check_n_max(args)
     ns = [args.n] if args.n_max is None else list(range(args.n_max + 1))
     rows = []
     for n in ns:
@@ -239,13 +257,6 @@ def _decorated_input(args):
 
 
 def _cmd_bijection(args, out):
-    r, t = args.r, args.t
-
-    def need_t():
-        if t is None:
-            raise ValueError(f"map {args.map!r} requires --t")
-        return t
-
     if args.map == "zeta" or args.rect_count is not None:
         if args.rect_count is None:
             raise ValueError(f"map {args.map!r} takes a pair: add --rect-count (and --rect-part)")
@@ -253,37 +264,20 @@ def _cmd_bijection(args, out):
     else:
         obj = _decorated_input(args)
 
-    inverse = args.inverse
-    if args.map == "xi":
-        if inverse:
-            result = bijections.xi_inverse(obj, r)
-        else:
-            trace = bijections.xi_forward(obj, r)
-            if args.trace:
-                print(json.dumps(trace.as_dict(), indent=2), file=out)
-                return 0
-            result = trace.output
-    elif args.map == "xi-inv":
-        result = bijections.xi_inverse(obj, r)
-    elif args.map == "phi":
-        result = bijections.phi_inverse(obj, r) if inverse else bijections.phi_forward(obj, r)
-    elif args.map == "psi1":
-        result = (bijections.psi1_inverse(obj, r, need_t()) if inverse
-                  else bijections.psi1_forward(obj, r, need_t()))
-    elif args.map == "psi2":
-        result = (bijections.psi2_inverse(obj, r, need_t()) if inverse
-                  else bijections.psi2_forward(obj, r, need_t()))
-    elif args.map == "psi-o":
-        result = bijections.psi_o_inverse(obj, r) if inverse else bijections.psi_o_forward(obj, r)
-    elif args.map == "psi-d":
-        result = bijections.psi_d_inverse(obj, r) if inverse else bijections.psi_d_forward(obj, r)
-    elif args.map == "psi-t":
-        result = bijections.psi_t_inverse(obj, r) if inverse else bijections.psi_t_forward(obj, r)
-    elif args.map == "zeta":
-        result = bijections.zeta_inverse(obj, r) if inverse else bijections.zeta_forward(obj, r)
+    forward, inverse, needs_t = _BIJECTIONS[args.map]
+    apply = inverse if args.inverse else forward
+    if not needs_t:
+        result = apply(obj, args.r)
+    elif args.t is None:
+        raise ValueError(f"map {args.map!r} requires --t")
     else:
-        raise ValueError(f"unknown map {args.map!r}")
+        result = apply(obj, args.r, args.t)
 
+    if isinstance(result, bijections.XiTrace):
+        if args.trace:
+            print(json.dumps(result.as_dict(), indent=2), file=out)
+            return 0
+        result = result.output
     if args.format == "json":
         print(json.dumps(_element_json(result)), file=out)
     else:
@@ -303,6 +297,7 @@ def _cmd_series(args, out):
 
 
 def _cmd_verify(args, out):
+    _check_n_max(args)
     start = time.perf_counter()
     report = _VERIFIERS[args.identity](args)
     report.elapsed = time.perf_counter() - start

@@ -17,14 +17,19 @@ from collections import Counter
 from dataclasses import dataclass
 
 
+def _is_int(x):
+    # bool is an int subclass, but True is not a number of anything
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_modulus(r):
-    if not isinstance(r, int) or r < 2:
+    if not _is_int(r) or r < 2:
         raise ValueError(f"modulus r must be an integer >= 2, got {r!r}")
 
 
 def _check_residue(r, t):
     _check_modulus(r)
-    if not isinstance(t, int) or not 1 <= t <= r - 1:
+    if not _is_int(t) or not 1 <= t <= r - 1:
         raise ValueError(f"residue t must lie in [1, {r - 1}], got {t!r}")
 
 
@@ -37,7 +42,7 @@ class Partition(tuple):
         t = tuple(parts)
         prev = None
         for p in t:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"invalid part {p!r}: parts must be positive integers")
             if prev is not None and p > prev:
                 raise ValueError(f"parts must be non-increasing, got {prev} before {p}")
@@ -47,15 +52,17 @@ class Partition(tuple):
     @classmethod
     def from_multiset(cls, parts):
         """Build a partition from positive integers in any order."""
-        t = tuple(sorted(parts, reverse=True))
-        if t and t[-1] < 1:
-            raise ValueError("parts must be positive integers")
+        t = list(parts)
+        for p in t:
+            if type(p) is not int or p < 1:
+                raise ValueError(f"invalid part {p!r}: parts must be positive integers")
+        t.sort(reverse=True)
         return tuple.__new__(cls, t)
 
     @classmethod
     def _make(cls, canonical):
-        # Fast path: caller guarantees a non-increasing tuple of positive ints.
-        return tuple.__new__(cls, tuple(canonical))
+        # Fast path: caller guarantees non-increasing positive ints.
+        return tuple.__new__(cls, canonical)
 
     # -- basic statistics -------------------------------------------------
 
@@ -76,13 +83,8 @@ class Partition(tuple):
 
     def runs(self):
         """The parts as (value, multiplicity) pairs in decreasing value order."""
-        out = []
-        for p in self:
-            if out and out[-1][0] == p:
-                out[-1][1] += 1
-            else:
-                out.append([p, 1])
-        return [(v, c) for v, c in out]
+        # a Counter keeps first-occurrence order, which is decreasing here
+        return list(Counter(self).items())
 
     def gaps(self):
         """Consecutive differences, with the final part counted against 0."""

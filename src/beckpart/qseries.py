@@ -11,7 +11,12 @@ statistic total, and the test suite checks the two sides against each other.
 
 from __future__ import annotations
 
-from .partitions import _check_modulus, _check_residue
+from .partitions import _check_modulus, _check_residue, _is_int
+
+
+def _check_bound(bound):
+    if not _is_int(bound) or bound < 0:
+        raise ValueError(f"degree bound must be a non-negative integer, got {bound!r}")
 
 
 class TruncatedSeries:
@@ -20,8 +25,7 @@ class TruncatedSeries:
     __slots__ = ("bound", "coeffs")
 
     def __init__(self, bound, coeffs=()):
-        if not isinstance(bound, int) or bound < 0:
-            raise ValueError(f"degree bound must be a non-negative integer, got {bound!r}")
+        _check_bound(bound)
         c = list(coeffs)
         if len(c) > bound + 1:
             raise ValueError(f"{len(c)} coefficients exceed degree bound {bound}")
@@ -119,6 +123,7 @@ def eta_quotient(r, bound):
     equivalently r-flat) partitions of each size.
     """
     _check_modulus(r)
+    _check_bound(bound)
     c = [0] * (bound + 1)
     c[0] = 1
     for n in range(1, bound + 1):

@@ -16,9 +16,8 @@ aggregate excess never is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .families import Family, enumerate_family
+from .families import Family, _totals
 from .partitions import Partition, _check_residue
 
 
@@ -45,64 +44,16 @@ def stat_report(lam, r, t):
     )
 
 
-# ---------------------------------------------------------------------------
-# Family-level totals, computed once per (n, r) and cached.  Vectors are
-# indexed by residue/threshold t with entry 0 unused.
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _regular_totals(n, r):
-    count = parts = distinct = 0
-    residue = [0] * r
-    for lam in enumerate_family(n, Family.O_R, r):
-        count += 1
-        parts += len(lam)
-        distinct += len(lam.multiplicities())
-        for p in lam:
-            residue[p % r] += 1
-    return count, parts, tuple(residue), distinct
-
-
-@lru_cache(maxsize=None)
-def _bounded_totals(n, r):
-    count = parts = distinct = 0
-    repeats = [0] * r  # repeats[t] = total number of values repeated >= t
-    for lam in enumerate_family(n, Family.D_R, r):
-        count += 1
-        parts += len(lam)
-        mult = lam.multiplicities()
-        distinct += len(mult)
-        for c in mult.values():
-            for t in range(1, min(c, r - 1) + 1):
-                repeats[t] += 1
-    return count, parts, tuple(repeats), distinct
-
-
-@lru_cache(maxsize=None)
-def _flat_totals(n, r):
-    count = 0
-    residue = [0] * r
-    steep = [0] * r  # steep[t] = total number of gaps >= t
-    for lam in enumerate_family(n, Family.F_R, r):
-        count += 1
-        for p in lam:
-            residue[p % r] += 1
-        for g in lam.gaps():
-            for t in range(1, min(g, r - 1) + 1):
-                steep[t] += 1
-    return count, tuple(residue), tuple(steep)
-
-
 def total_residue_parts(n, r, t):
     """Sum of ell_t over the r-regular partitions of n."""
     _check_residue(r, t)
-    return _regular_totals(n, r)[2][t]
+    return _totals(n, Family.O_R, r).residue[t]
 
 
 def total_repeated_values(n, r, t):
     """Sum of ell_bar_t over the multiplicity-bounded partitions of n."""
     _check_residue(r, t)
-    return _bounded_totals(n, r)[2][t]
+    return _totals(n, Family.D_R, r).repeats[t]
 
 
 def excess_Ert(n, r, t):
@@ -112,21 +63,21 @@ def excess_Ert(n, r, t):
     respectively; always equals the one-violation family sizes.
     """
     _check_residue(r, t)
-    return _regular_totals(n, r)[2][t] - _bounded_totals(n, r)[2][t]
+    return _totals(n, Family.O_R, r).residue[t] - _totals(n, Family.D_R, r).repeats[t]
 
 
 def excess_Ert_flat(n, r, t):
     """The same excess computed over the r-flat family alone (ell_t - d_t)."""
     _check_residue(r, t)
-    _, residue, steep = _flat_totals(n, r)
-    return residue[t] - steep[t]
+    flat = _totals(n, Family.F_R, r)
+    return flat.residue[t] - flat.steep[t]
 
 
 def beck_b(n, r):
     """Total parts over the r-regular family minus total parts over the bounded one."""
-    return _regular_totals(n, r)[1] - _bounded_totals(n, r)[1]
+    return _totals(n, Family.O_R, r).parts - _totals(n, Family.D_R, r).parts
 
 
 def beck_b_prime(n, r):
     """Total distinct values over the bounded family minus over the regular one."""
-    return _bounded_totals(n, r)[3] - _regular_totals(n, r)[3]
+    return _totals(n, Family.D_R, r).distinct - _totals(n, Family.O_R, r).distinct

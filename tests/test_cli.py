@@ -2,7 +2,7 @@
 
 import json
 
-from beckpart import cli
+from beckpart import Partition, cli
 
 
 def run(capsys, *argv):
@@ -111,6 +111,17 @@ class TestCountAndEnumerate:
         lines = out.strip().splitlines()
         assert "((2,1,1), (2^2))" in lines and "((3,2,1), (2^1))" in lines
 
+    def test_enumerate_streams_text(self, capsys, monkeypatch):
+        # members reach stdout as they are produced, before the stream fails
+        def failing(*args):
+            yield Partition((5,))
+            raise ValueError("stream broke")
+
+        monkeypatch.setattr(cli.families, "enumerate_family", failing)
+        code, out, err = run(capsys, "enumerate", "--family", "Or", "--r", "2", "--n", "5")
+        assert code == 2
+        assert out.splitlines() == ["5"] and "stream broke" in err
+
     def test_family_and_pairset_conflict(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "--family", "Or", "--pairset", "A", "--r", "2", "--n", "4")
@@ -133,6 +144,12 @@ class TestDiagramAndSeries:
             capsys, "series", "--gf", "O_r", "--r", "2", "--degree", "5")
         assert code == 0
         assert out.strip().splitlines() == ["0\t1", "1\t1", "2\t1", "3\t2", "4\t2", "5\t3"]
+
+    def test_negative_degree_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "series", "--gf", "O_r", "--r", "3", "--degree", "-1")
+        assert code == 2 and "degree" in err
+        code, _, err = run(capsys, "verify", "series", "--r", "3", "--degree", "-1")
+        assert code == 2 and "degree" in err
 
     def test_series_ert_needs_degree(self, capsys):
         code, _, _ = run(capsys, "series", "--gf", "E_rt", "--r", "3")
@@ -176,6 +193,12 @@ class TestVerify:
         monkeypatch.setattr(cli.stats, "beck_b_prime", lambda n, r: -1)
         code, out, _ = run(capsys, "verify", "beck2", "--r", "2", "--n-max", "2")
         assert code == 1 and "FAIL" in out
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "beck3", "--r", "3", "--n-max", "-1")
+        assert code == 2 and out == "" and "n-max" in err
+        code, out, err = run(capsys, "count", "--family", "Or", "--r", "3", "--n-max", "-1")
+        assert code == 2 and out == "" and "n-max" in err
 
     def test_usage_error_exits_two(self, capsys):
         assert run(capsys, "verify", "nonsense", "--r", "2")[0] == 2

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from beckpart import families
 from beckpart import (
     Family,
     PairSet,
@@ -13,6 +14,7 @@ from beckpart import (
     count_pairs,
     enumerate_family,
     enumerate_pairs,
+    is_member,
 )
 from beckpart.partitions import MARK, OVERLINE
 
@@ -122,6 +124,51 @@ def test_decorated_families_match_oracle(r):
                 assert len(set(got)) == len(got)
 
 
+def test_count_matches_enumeration_for_every_family():
+    for r in range(2, 7):
+        for n in range(0, 26):
+            for family in Family:
+                if family is Family.ALL:
+                    cases = [(None, None)]
+                elif family in (Family.O_STAR, Family.F_BAR):
+                    cases = [(r, t) for t in range(1, r)]
+                else:
+                    cases = [(r, None)]
+                for rr, t in cases:
+                    assert count(n, family, rr, t) == \
+                        len(list(enumerate_family(n, family, rr, t))), (n, family, rr, t)
+
+
+def test_is_member_matches_filter_oracle():
+    for r in range(2, 7):
+        for n in range(0, 19):
+            for family in PLAIN:
+                members = set(oracle_filter(n, family, r))
+                for p in all_partitions(n):
+                    assert is_member(Partition(p), family, r) == (p in members), (p, family, r)
+
+
+def test_listing_recovers_from_a_failed_search(monkeypatch):
+    # a move search cut short by an error must not be cached as complete
+    full = list(enumerate_family(12, Family.T_R, 3))
+    families._live.cache_clear()
+    families._completes.cache_clear()
+    search = families._completes
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 40:
+            raise RuntimeError("interrupted")
+        return search(*args)
+
+    monkeypatch.setattr(families, "_completes", failing)
+    with pytest.raises(RuntimeError):
+        list(enumerate_family(12, Family.T_R, 3))
+    monkeypatch.undo()
+    assert list(enumerate_family(12, Family.T_R, 3)) == full
+
+
 class TestFrozenExamples:
     def test_regular_of_five(self):
         assert list(enumerate_family(5, Family.O_R, 2)) == \
@@ -218,3 +265,10 @@ class TestValidation:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             list(enumerate_family(5, Family.O_R, 1))
+
+    def test_bool_size_rejected(self):
+        assert count(1, Family.O_R, 3) == 1
+        with pytest.raises(ValueError):
+            count(True, Family.O_R, 3)
+        with pytest.raises(ValueError):
+            count(True, "Or", 3)

@@ -41,6 +41,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((3, 0))
 
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(ValueError):
+            Partition((True,))
+        with pytest.raises(ValueError):
+            Partition.from_multiset([2.5, 1])
+        with pytest.raises(ValueError):
+            Partition.from_multiset([3, True])
+
     def test_empty_is_partition_of_zero(self):
         assert Partition().size == 0 and len(Partition()) == 0
 

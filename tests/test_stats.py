@@ -2,6 +2,7 @@
 
 import pytest
 
+from beckpart import families
 from beckpart import (
     Family,
     Partition,
@@ -16,6 +17,64 @@ from beckpart import (
     total_repeated_values,
     total_residue_parts,
 )
+
+
+# ---------------------------------------------------------------------------
+# Listing oracles: the statistic totals summed member by member.  Vectors are
+# indexed by residue/threshold t with entry 0 unused.
+# ---------------------------------------------------------------------------
+
+def regular_totals(n, r):
+    count = parts = distinct = 0
+    residue = [0] * r
+    for lam in enumerate_family(n, Family.O_R, r):
+        count += 1
+        parts += len(lam)
+        distinct += len(lam.multiplicities())
+        for p in lam:
+            residue[p % r] += 1
+    return count, parts, tuple(residue), distinct
+
+
+def bounded_totals(n, r):
+    count = parts = distinct = 0
+    repeats = [0] * r  # repeats[t] = total number of values repeated >= t
+    for lam in enumerate_family(n, Family.D_R, r):
+        count += 1
+        parts += len(lam)
+        mult = lam.multiplicities()
+        distinct += len(mult)
+        for c in mult.values():
+            for t in range(1, min(c, r - 1) + 1):
+                repeats[t] += 1
+    return count, parts, tuple(repeats), distinct
+
+
+def flat_totals(n, r):
+    count = 0
+    residue = [0] * r
+    steep = [0] * r  # steep[t] = total number of gaps >= t
+    for lam in enumerate_family(n, Family.F_R, r):
+        count += 1
+        for p in lam:
+            residue[p % r] += 1
+        for g in lam.gaps():
+            for t in range(1, min(g, r - 1) + 1):
+                steep[t] += 1
+    return count, tuple(residue), tuple(steep)
+
+
+def test_totals_match_listing_oracle():
+    for r in range(2, 7):
+        for n in range(0, 31):
+            regular = families._totals(n, Family.O_R, r)
+            bounded = families._totals(n, Family.D_R, r)
+            flat = families._totals(n, Family.F_R, r)
+            assert (regular.count, regular.parts, regular.residue, regular.distinct) \
+                == regular_totals(n, r), (n, r)
+            assert (bounded.count, bounded.parts, bounded.repeats, bounded.distinct) \
+                == bounded_totals(n, r), (n, r)
+            assert (flat.count, flat.residue, flat.steep) == flat_totals(n, r), (n, r)
 
 
 class TestStatReport:
