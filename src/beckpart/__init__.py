@@ -55,7 +55,6 @@ from .bijections import (
     psi_t_inverse,
     xi_forward,
     xi_inverse,
-    xi_inverse_table,
     zeta_forward,
     zeta_inverse,
 )

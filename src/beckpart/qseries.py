@@ -30,7 +30,7 @@ class TruncatedSeries:
         if len(c) > bound + 1:
             raise ValueError(f"{len(c)} coefficients exceed degree bound {bound}")
         for x in c:
-            if not isinstance(x, int):
+            if type(x) is not int and not _is_int(x):  # plain ints skip the call
                 raise ValueError(f"coefficients must be integers, got {x!r}")
         c.extend([0] * (bound + 1 - len(c)))
         self.bound = bound
@@ -108,7 +108,7 @@ class TruncatedSeries:
 
 def geometric(k, bound):
     """1/(1 - q^k) = sum of q^(m*k) for m >= 0, truncated."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"geometric step must be a positive integer, got {k!r}")
     c = [0] * (bound + 1)
     for e in range(0, bound + 1, k):

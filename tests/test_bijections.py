@@ -6,8 +6,18 @@ at module level (trace invariants, the tabulated-inverse cross-check,
 removal-order independence).
 """
 
-import pytest
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import beckpart
 from beckpart import (
     DecoratedPartition,
     Family,
@@ -31,12 +41,37 @@ from beckpart import (
     psi_t_inverse,
     xi_forward,
     xi_inverse,
-    xi_inverse_table,
     zeta_forward,
     zeta_inverse,
 )
-from beckpart.bijections import BijectionError, _is_flat_list, _locked_split
-from beckpart.partitions import MARK, OVERLINE
+from beckpart.bijections import (
+    BijectionError,
+    ConstructionError,
+    _as_partition,
+    _is_flat_list,
+    _locked_split,
+)
+from beckpart.partitions import MARK, OVERLINE, _check_modulus
+
+
+@lru_cache(maxsize=None)
+def _forward_table(r, n):
+    return {
+        tuple(xi_forward(lam, r).output): tuple(lam)
+        for lam in enumerate_family(n, Family.F_R, r)
+    }
+
+
+def xi_inverse_table(kappa, r):
+    """Reference inverse via exhaustive forward tabulation (small sizes only)."""
+    kappa = _as_partition(kappa)
+    _check_modulus(r)
+    if not kappa.is_regular(r):
+        raise BijectionError(f"xi_inverse needs an {r}-regular partition, got ({kappa})")
+    try:
+        return Partition._make(_forward_table(r, kappa.size)[tuple(kappa)])
+    except KeyError:
+        raise ConstructionError(f"no preimage of ({kappa}) under xi at r = {r}") from None
 
 
 class TestXiFixtures:
@@ -122,6 +157,98 @@ class TestXiSuiteSmall:
             for n in range(0, 17):
                 for lam in enumerate_family(n, Family.F_R, r):
                     assert xi_inverse(xi_forward(lam, r).output, r) == lam
+
+
+def random_flat(rng, r, length):
+    """A random r-flat partition: final part in [1, r-1], other gaps in [0, r-1]."""
+    if not length:
+        return Partition()
+    parts = [rng.randint(1, r - 1)]
+    for _ in range(length - 1):
+        parts.append(parts[-1] + rng.randint(0, r - 1))
+    return Partition(parts[::-1])
+
+
+@st.composite
+def flat_inputs(draw, max_length=2000):
+    r = draw(st.integers(2, 7))
+    length = draw(st.integers(0, max_length))
+    return random_flat(draw(st.randoms(use_true_random=False)), r, length), r
+
+
+class TestXiAtScale:
+    """ξ and ξ⁻¹ far beyond the exhaustive grids."""
+
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_inverse_needs_no_recursion(self, r):
+        # one open position per locked-part candidate: thousands at this length
+        rng = random.Random(3000 + r)
+        for _ in range(3):
+            lam = random_flat(rng, r, 3000)
+            assert xi_inverse(xi_forward(lam, r).output, r) == lam
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(flat_inputs())
+    def test_round_trip_and_trace_invariants(self, case):
+        lam, r = case
+        tr = xi_forward(lam, r)
+        assert tr.mu.union(tr.nu) == lam
+        assert tr.alpha.union(tr.beta) == tr.mu
+        assert all(p % r == 0 for p in tr.nu)
+        assert all(p % r == 0 for p in tr.beta_star)
+        assert tr.alpha - tr.u.scale(r) == tr.alpha_star
+        assert sorted(b + r * v for b, v in zip(tr.beta, tr.v)) == sorted(tr.beta_star)
+        assert tr.nu.union(tr.beta_star) == tr.sigma.scale(r)
+        assert tr.alpha_star + tr.sigma.conjugate().scale(r) == tr.output
+        if tr.sigma:
+            assert tr.sigma[0] <= len(tr.alpha_star)
+        # every divisible part of mu is locked: removing mu_i from the flat mu
+        # would merge its two gaps into mu_{i-1} - mu_{i+1}, which must be >= r
+        mu = tr.mu
+        assert _is_flat_list(mu, r)
+        for idx, p in enumerate(mu):
+            if p % r == 0:
+                below = mu[idx + 1] if idx + 1 < len(mu) else 0
+                assert idx > 0 and mu[idx - 1] - below >= r
+        assert tr.output.is_regular(r) and tr.output.size == lam.size
+        assert tr.output.residue_profile(r)[1:] == lam.residue_profile(r)[1:]
+        assert xi_inverse(tr.output, r) == lam
+
+
+_BROKEN_HELPERS = """
+    from types import SimpleNamespace
+    from beckpart import Partition, bijections
+
+    print("debug", __debug__)
+    # a split that moves a part not divisible by r loses size in sigma
+    split = bijections._locked_split
+    bijections._locked_split = lambda lam, r: (list(lam)[1:], list(lam)[:1])
+    try:
+        bijections.xi_forward(Partition((2, 1)), 3)
+    except bijections.ConstructionError as exc:
+        print("xi_forward:", exc)
+    bijections._locked_split = split
+    # an identity in place of xi leaves two divisible values in phi's image
+    bijections.xi_forward = lambda lam, r: SimpleNamespace(output=lam)
+    try:
+        bijections.phi_forward(Partition((9, 5, 3, 1)), 3)
+    except bijections.ConstructionError as exc:
+        print("phi_forward:", exc)
+"""
+
+
+class TestPostconditions:
+    def test_checked_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beckpart.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(_BROKEN_HELPERS)],
+            env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out[0] == "debug False"
+        assert out[1].startswith("xi_forward: image (1) has size 1, not 3")
+        assert out[2].startswith("phi_forward: phi image is not in O_1r")
+        assert len(out) == 3
 
 
 def _all_split_fixpoints(lam, r):

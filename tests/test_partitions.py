@@ -1,7 +1,7 @@
 """Core partition type: operations, predicates, parsing, diagrams."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beckpart import (
@@ -9,6 +9,7 @@ from beckpart import (
     DecoratedPartition,
     Family,
     Partition,
+    RectanglePair,
     enumerate_family,
     is_member,
     modular_diagram,
@@ -145,6 +146,15 @@ class TestConjugate:
     def test_matches_cell_transpose_oracle(self, lam):
         assert lam.conjugate() == naive_conjugate(lam)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 400), max_size=400).map(Partition.from_multiset))
+    def test_large_involution_and_column_counts(self, lam):
+        conj = lam.conjugate()
+        assert conj.conjugate() == lam
+        # column j of the Ferrers diagram holds one cell per part >= j
+        assert list(conj) == [sum(1 for p in lam if p >= j)
+                              for j in range(1, lam.part_at(1) + 1)]
+
     def test_swaps_bounded_and_flat_families(self):
         for r in range(2, 6):
             for n in range(0, 31):
@@ -218,3 +228,29 @@ class TestDecorations:
 
     def test_rectangle(self):
         assert rectangle(5, 3) == Partition((5, 5, 5))
+
+
+class TestBoolIsNotAnInteger:
+    def test_rectangle(self):
+        with pytest.raises(ValueError):
+            rectangle(True, 2)
+        with pytest.raises(ValueError):
+            rectangle(2, True)
+
+    def test_scale(self):
+        with pytest.raises(ValueError):
+            Partition((2, 1)).scale(True)
+
+    def test_rectangle_pair(self):
+        with pytest.raises(ValueError):
+            RectanglePair(Partition((1,)), True, 1)
+        with pytest.raises(ValueError):
+            RectanglePair(Partition((1,)), 1, True)
+
+    def test_decorated_partition(self):
+        with pytest.raises(ValueError):
+            DecoratedPartition(Partition((2,)), MARK, True)
+
+    def test_composition(self):
+        with pytest.raises(ValueError):
+            Composition((1, False))

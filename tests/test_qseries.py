@@ -40,6 +40,10 @@ class TestRing:
         product = geometric(1, n) * TruncatedSeries(n, (1, -1))
         assert product == TruncatedSeries.one(n)
 
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries(3, (True, 1))
+
     def test_bound_mismatch(self):
         with pytest.raises(ValueError):
             TruncatedSeries(3) + TruncatedSeries(4)
@@ -62,6 +66,10 @@ class TestGeometric:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             geometric(0, 5)
+
+    def test_rejects_bool_step(self):
+        with pytest.raises(ValueError):
+            geometric(True, 5)
 
 
 class TestEtaQuotient:
