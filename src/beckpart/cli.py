@@ -160,12 +160,13 @@ def _verify_series(args):
         repeats = qseries.gf("repeats_t_in_Dr", r, t, bound)
         lam_prog = qseries.lambert_sum("progression", r, t, bound)
         lam_mixed = qseries.lambert_sum("mixed", r, t, bound)
+        difference = parts - repeats
         for n in range(bound + 1):
             report.record(n, t, parts[n], stats.total_residue_parts(n, r, t))
             report.record(n, t, repeats[n], stats.total_repeated_values(n, r, t))
             report.record(n, t, ert[n], stats.excess_Ert(n, r, t))
             report.record(n, t, lam_prog[n], lam_mixed[n])
-            report.record(n, t, (parts - repeats)[n], ert[n])
+            report.record(n, t, difference[n], ert[n])
     return report
 
 

@@ -19,6 +19,11 @@ def _check_bound(bound):
         raise ValueError(f"degree bound must be a non-negative integer, got {bound!r}")
 
 
+def _check_degree(degree, bound):
+    if not _is_int(degree) or not 0 <= degree <= bound:
+        raise ValueError(f"degree must be an integer in [0, {bound}], got {degree!r}")
+
+
 class TruncatedSeries:
     """Formal power series in q truncated at a fixed degree bound."""
 
@@ -46,15 +51,13 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, bound, degree, coefficient=1):
-        if not 0 <= degree <= bound:
-            raise ValueError(f"degree {degree} outside [0, {bound}]")
+        _check_degree(degree, bound)
         c = [0] * (degree + 1)
         c[degree] = coefficient
         return cls(bound, c)
 
     def coefficient(self, n):
-        if not 0 <= n <= self.bound:
-            raise ValueError(f"degree {n} outside [0, {self.bound}]")
+        _check_degree(n, self.bound)
         return self.coeffs[n]
 
     __getitem__ = coefficient
@@ -78,16 +81,32 @@ class TruncatedSeries:
         return TruncatedSeries(self.bound, (-a for a in self.coeffs))
 
     def __mul__(self, other):
+        """Truncated product by Kronecker substitution.
+
+        Coefficient ``i`` of each operand goes into byte slot ``i`` of one
+        integer, so one big-integer product (Karatsuba in CPython) multiplies
+        the two polynomials.  Slot ``k`` of the product sums at most
+        ``bound + 1`` terms, so no coefficient of the operands or of the
+        product exceeds ``top = max|a|*max|b|*(bound+1)`` in magnitude.
+        Slots of ``w`` bytes with ``half = 2**(8w-1) > top`` store each
+        signed coefficient ``c`` as the digit ``c + half``, which never
+        carries or borrows into its neighbours: the packed operand is the
+        digit string minus ``bias`` (``half`` in every slot), and the
+        product's low ``bound + 1`` digits are read back from product + bias.
+        """
         other = self._match(other)
         n = self.bound
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, out)
+        top = max(map(abs, self.coeffs)) * max(map(abs, other.coeffs)) * (n + 1)
+        if not top:
+            return TruncatedSeries(n)
+        w = top.bit_length() // 8 + 1
+        half = 1 << (8 * w - 1)
+        bias = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
+        product = (_digits(self.coeffs, w, half) - bias) * (_digits(other.coeffs, w, half) - bias)
+        size = w * (n + 1)
+        raw = ((product + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        return TruncatedSeries(n, [int.from_bytes(raw[i:i + w], "little") - half
+                                   for i in range(0, size, w)])
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -106,8 +125,14 @@ class TruncatedSeries:
         return f"TruncatedSeries(N={self.bound}, [{head}{tail}])"
 
 
+def _digits(coeffs, w, half):
+    """The integer whose ``w``-byte slot ``i`` holds ``coeffs[i] + half``."""
+    return int.from_bytes(b"".join([(x + half).to_bytes(w, "little") for x in coeffs]), "little")
+
+
 def geometric(k, bound):
     """1/(1 - q^k) = sum of q^(m*k) for m >= 0, truncated."""
+    _check_bound(bound)
     if not _is_int(k) or k < 1:
         raise ValueError(f"geometric step must be a positive integer, got {k!r}")
     c = [0] * (bound + 1)
@@ -116,23 +141,56 @@ def geometric(k, bound):
     return TruncatedSeries(bound, c)
 
 
+def _pentagonal(bound):
+    """Exponents g in [1, bound] of Euler's product, split by sign.
+
+    By the pentagonal number theorem (q;q)_inf is the sum over all integers k
+    of (-1)^k q^(k(3k-1)/2); the exponents g >= 1 come in pairs k(3k-1)/2,
+    k(3k+1)/2 for k >= 1.  Returns (exponents with sign -1 (k odd), exponents
+    with sign +1 (k even)), each ascending.
+    """
+    odd, even = [], []
+    k = 1
+    while k * (3 * k - 1) // 2 <= bound:
+        side = odd if k % 2 else even
+        side += [g for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= bound]
+        k += 1
+    return odd, even
+
+
 def eta_quotient(r, bound):
     """The product over n >= 1 of (1 - q^(r*n)) / (1 - q^n), truncated.
 
     Its coefficients count the r-regular (equivalently multiplicity-bounded,
     equivalently r-flat) partitions of each size.
+
+    The quotient c solves c * (q;q)_inf = (q^r;q^r)_inf.  Both products are
+    sparse by the pentagonal number theorem, so c is found one degree at a
+    time: c[n] is the right side's coefficient minus the pentagonal terms
+    of degree n on the left, O(bound^1.5) in all.
     """
     _check_modulus(r)
     _check_bound(bound)
-    c = [0] * (bound + 1)
+    odd, even = _pentagonal(bound)
+    c = [0] * (bound + 1)  # starts as (q^r;q^r)_inf, solved in place
     c[0] = 1
+    for g in odd:
+        if r * g <= bound:
+            c[r * g] = -1
+    for g in even:
+        if r * g <= bound:
+            c[r * g] = 1
     for n in range(1, bound + 1):
-        k = r * n
-        if k <= bound:
-            for i in range(bound, k - 1, -1):  # multiply by (1 - q^k)
-                c[i] -= c[i - k]
-        for i in range(n, bound + 1):          # divide by (1 - q^n)
-            c[i] += c[i - n]
+        acc = c[n]
+        for g in odd:
+            if g > n:
+                break
+            acc += c[n - g]
+        for g in even:
+            if g > n:
+                break
+            acc -= c[n - g]
+        c[n] = acc
     return TruncatedSeries(bound, c)
 
 
@@ -150,6 +208,7 @@ def lambert_sum(family, r, t=None, bound=0):
     Only finitely many summands reach degrees <= bound, so the truncation
     is exact.  ``progression`` and ``mixed`` agree as truncated series.
     """
+    _check_bound(bound)
     _check_modulus(r)
     if family not in LAMBERT_FAMILIES:
         raise ValueError(f"unknown Lambert family {family!r}; expected one of {LAMBERT_FAMILIES}")

@@ -1,6 +1,8 @@
 """Exact truncated series: ring operations, named series, Lambert sums."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beckpart import (
     Family,
@@ -14,6 +16,65 @@ from beckpart import (
     total_repeated_values,
     total_residue_parts,
 )
+from beckpart.qseries import GF_NAMES
+
+
+def eta_quotient_oracle(r, bound):
+    """The eta quotient by one multiply and one divide per factor, O(bound^2)."""
+    c = [0] * (bound + 1)
+    c[0] = 1
+    for n in range(1, bound + 1):
+        k = r * n
+        if k <= bound:
+            for i in range(bound, k - 1, -1):  # multiply by (1 - q^k)
+                c[i] -= c[i - k]
+        for i in range(n, bound + 1):          # divide by (1 - q^n)
+            c[i] += c[i - n]
+    return tuple(c)
+
+
+def schoolbook_oracle(a, b):
+    """Coefficients of the truncated product a * b, term by term."""
+    n = a.bound
+    out = [0] * (n + 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs[: n + 1 - i]):
+            if y:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+GF_LAMBERT = {"O_r": None, "O_1r": "multiples", "parts_t_in_Or": "progression",
+              "repeats_t_in_Dr": "repeat-excess", "E_rt": "multiples"}
+
+
+def gf_oracle(name, r, t, bound):
+    """``gf`` assembled from the two oracles: eta quotient times its Lambert sum."""
+    eta = TruncatedSeries(bound, eta_quotient_oracle(r, bound))
+    family = GF_LAMBERT[name]
+    if family is None:
+        return eta.coeffs
+    lambert = lambert_sum(family, r, None if family == "multiples" else t, bound)
+    return schoolbook_oracle(eta, lambert)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one bound; each is mixed-sign, nonnegative or nonpositive,
+    with magnitudes up to 1, 7, 255, 10**6, 2**64 - 1 or 10**60, and zeros and
+    the extreme values mixed in (extremes fill the packing slots)."""
+    bound = draw(st.integers(0, 60))
+
+    def operand():
+        mag = draw(st.sampled_from([1, 7, 255, 10 ** 6, 2 ** 64 - 1, 10 ** 60]))
+        lo, hi = draw(st.sampled_from([(-mag, mag), (0, mag), (-mag, 0)]))
+        values = st.integers(lo, hi) | st.sampled_from([0, lo, hi])
+        coeffs = draw(st.lists(values, max_size=bound + 1))
+        return TruncatedSeries(bound, coeffs)
+
+    return operand(), operand()
 
 
 def divisor_multiples_oracle(k, step, bound):
@@ -54,6 +115,32 @@ class TestRing:
         assert (a * a)[1] == 2 * big * big
         assert (a * a)[2] == big * big
 
+    @pytest.mark.parametrize("bound, a, b", [
+        (0, (0,), (0,)),
+        (0, (-3,), (5,)),
+        (0, (-(10 ** 60),), (-(10 ** 60),)),
+        (5, (), (1, 2, 3)),
+        (5, (0, 0, 7), (0, 0, 0, -2)),
+        (5, (-1, -1, -1, -1, -1, -1), (-1, -2, -3, -4, -5, -6)),
+        (4, (1, -1, 1, -1, 1), (1, 1, 1, 1, 1)),
+        (3, (10 ** 60, -(10 ** 60)), (-(10 ** 60), 1, 10 ** 60)),
+        (0, (128,), (1,)),
+        (0, (-128,), (1,)),
+        (1, (8, 8), (8, 8)),
+        (40, (255,) * 41, (255,) * 41),
+        (40, (-(2 ** 64 - 1),) * 41, (2 ** 64 - 1, -(2 ** 64 - 1)) * 20),
+    ])
+    def test_product_edge_cases(self, bound, a, b):
+        a, b = TruncatedSeries(bound, a), TruncatedSeries(bound, b)
+        assert (a * b).coeffs == schoolbook_oracle(a, b)
+        assert (b * a).coeffs == schoolbook_oracle(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs())
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        assert (a * b).coeffs == schoolbook_oracle(a, b)
+
 
 class TestGeometric:
     def test_small(self):
@@ -71,6 +158,11 @@ class TestGeometric:
         with pytest.raises(ValueError):
             geometric(True, 5)
 
+    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None])
+    def test_rejects_bad_bound(self, bound):
+        with pytest.raises(ValueError):
+            geometric(2, bound)
+
 
 class TestEtaQuotient:
     def test_constant_term(self):
@@ -82,6 +174,11 @@ class TestEtaQuotient:
             series = eta_quotient(r, 20)
             for n in range(0, 21):
                 assert series[n] == count(n, Family.O_R, r)
+
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_matches_product_oracle(self, r):
+        for bound in (0, 1, 2, 5, 7, 12, 51, 400):
+            assert eta_quotient(r, bound).coeffs == eta_quotient_oracle(r, bound)
 
 
 class TestLambert:
@@ -106,6 +203,13 @@ class TestLambert:
             lambert_sum("multiples", 3, 1, 10)
         with pytest.raises(ValueError):
             lambert_sum("nope", 3, 1, 10)
+
+    @pytest.mark.parametrize("family, t", [("multiples", None), ("progression", 1),
+                                           ("mixed", 2), ("repeat-excess", 1)])
+    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None])
+    def test_rejects_bad_bound(self, family, t, bound):
+        with pytest.raises(ValueError):
+            lambert_sum(family, 3, t, bound)
 
 
 class TestNamedSeries:
@@ -148,6 +252,31 @@ class TestNamedSeries:
     def test_missing_t(self):
         with pytest.raises(ValueError):
             gf("parts_t_in_Or", 3, None, 10)
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_every_name_matches_oracle_assembly(self, r):
+        for name in GF_NAMES:
+            for t in (range(1, r) if name in ("parts_t_in_Or", "repeats_t_in_Dr") else (None,)):
+                assert gf(name, r, t, 400).coeffs == gf_oracle(name, r, t, 400), (name, t)
+
+
+class TestDegrees:
+    @pytest.mark.parametrize("degree", [True, False, 1.0, "1", None, -1, 4])
+    def test_monomial_rejects_bad_degree(self, degree):
+        with pytest.raises(ValueError):
+            TruncatedSeries.monomial(3, degree)
+
+    @pytest.mark.parametrize("degree", [True, False, 1.0, "1", None, -1, 4])
+    def test_coefficient_rejects_bad_degree(self, degree):
+        series = eta_quotient(2, 3)
+        with pytest.raises(ValueError):
+            series.coefficient(degree)
+        with pytest.raises(ValueError):
+            series[degree]
+
+    def test_valid_degrees(self):
+        assert TruncatedSeries.monomial(3, 1, 5).coeffs == (0, 5, 0, 0)
+        assert eta_quotient(2, 3)[3] == 2
 
 
 class TestDump:
