@@ -21,6 +21,7 @@ from .partitions import (
 from .families import (
     Family,
     PairSet,
+    clear_caches,
     count,
     count_pairs,
     enumerate_family,

@@ -177,6 +177,7 @@ _VERIFIERS = {
     "glaisher": _verify_glaisher,
     "series": _verify_series,
 }
+_TAKES_T = ("beck3", "series")  # the identities checked per residue t
 
 
 def _render_element(x):
@@ -220,9 +221,8 @@ def _check_n_max(args):
 def _cmd_count(args, out):
     if (args.family is None) == (args.pairset is None):
         raise ValueError("count needs exactly one of --family / --pairset")
-    n_top = args.n if args.n_max is None else args.n_max
-    if n_top is None:
-        raise ValueError("count needs --n or --n-max")
+    if (args.n is None) == (args.n_max is None):
+        raise ValueError("count needs exactly one of --n / --n-max")
     _check_n_max(args)
     ns = [args.n] if args.n_max is None else list(range(args.n_max + 1))
     rows = []
@@ -299,6 +299,10 @@ def _cmd_series(args, out):
 
 def _cmd_verify(args, out):
     _check_n_max(args)
+    if args.t is not None and args.identity not in _TAKES_T:
+        raise ValueError(f"verify {args.identity} does not take --t")
+    if args.degree is not None and args.identity != "series":
+        raise ValueError(f"verify {args.identity} does not take --degree")
     start = time.perf_counter()
     report = _VERIFIERS[args.identity](args)
     report.elapsed = time.perf_counter() - start

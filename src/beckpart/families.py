@@ -15,9 +15,12 @@ pair sets couple an r-flat partition with a rectangle.
 
 Every plain family is one spec: a walk over the runs (v, c) of a partition,
 values descending, in which each run is checked by one rule and the family
-allows none or exactly one violation of it.  The same walk is read four
-ways: listed, counted, summed into statistic totals and used as a
-membership test.  Counts and totals are memoised walks, never listings.
+allows none or exactly one violation of it.  The spec is read four ways.
+The lister and the membership test walk it run by run.  Counts and
+statistic totals read it through a largest-value recurrence: each value m,
+from the largest down, is skipped or taken c times, and one table per size
+serves every n up to that size.  Counts are never listings and never come
+from ``qseries``.
 
 Every enumerator is deterministic: bases stream in descending lexicographic
 order, decorations by increasing position, rectangles by increasing part
@@ -30,8 +33,8 @@ from collections import namedtuple
 from copy import copy
 from enum import Enum
 from functools import lru_cache
-from itertools import tee
-from operator import add
+from itertools import repeat, tee
+from operator import add, and_, mul
 
 from .partitions import (
     DecoratedPartition,
@@ -97,6 +100,123 @@ _SPEC = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Counting and totals: the spec read by a largest-value recurrence.  A state
+# (k left, m the largest value still allowed, violations used, g) either
+# skips value m or takes c copies of it, and goes on to m - 1.  g is the
+# gap a run of value m would make, capped at r, and 0 before the first run;
+# a skip widens it by one and a run resets it to 1.  Only the gap rule reads
+# the previous value, so every other rule keeps g = 0 and its states
+# collapse.  A table holds one array over k = 0..size per (used, g) and is
+# built by a loop over m = 1..size in which every run is one shifted add of
+# a whole array: O(size^2 log size) additions and no recursion.  Sizes are
+# powers of two, so a sweep over n = 0..N builds a few tables, not N.
+# ---------------------------------------------------------------------------
+
+def _size(n):
+    # the size of the table that holds n: the least power of two >= n, and
+    # at least 16, below which a table costs little more than its set-up
+    return max(1 << (n - 1).bit_length(), 16)
+
+
+@lru_cache(maxsize=None)
+def _table(size, rule, viol, r, totals):
+    # Per (used, g), the completions of the states (k, m = size, used, g)
+    # for k = 0..size: their number, or with totals their statistic sums
+    # packed in one integer, slot j at bit j * width.  The slots are count,
+    # parts, distinct values, then r-slots of parts by residue and of runs
+    # by min(c, r-1), and for the gap rule one of gaps (final part
+    # included) by min(gap, r-1).
+    breaks = _RULES[rule]
+    gs = range(r + 1) if rule == "gap" else range(1)  # the values g may take
+    states = [(u, g) for u in range(viol + 1) for g in gs]
+    skips = [u * len(gs) + (g and min(g + 1, r)) for u, g in states]
+    width = _width(size) if totals else 0
+
+    def slot(j):
+        return 1 << j * width
+
+    def gap(g):
+        return slot(3 + 2 * r + min(g, r - 1))
+
+    def times(entries, weight):
+        # each entry's count times the weight
+        return map(mul, map(and_, entries, repeat(slot(1) - 1)), repeat(weight))
+
+    def closes(u, g):
+        # the walk stops at m = 0, and g is then the final part
+        if u + breaks(r, g, 0, 0) != viol:
+            return 0
+        return 1 + gap(g) if totals and g else 1
+
+    table = [[closes(u, g)] + [0] * size for u, g in states]
+    for m in range(1, size + 1):
+        # carried gaps that see every run of m alike share one sum of runs
+        groups = {}
+        for g in gs:
+            seen = tuple(breaks(r, g and m + g, m, c) for c in range(1, size // m + 1))
+            groups.setdefault(seen, []).append(g)
+        new = [table[t] for t in skips]
+        for seen, group in groups.items():
+            for u in range(viol + 1):
+                runs = [0] * (size + 1)
+                for c, b in enumerate(seen, 1):
+                    if u + b > viol:
+                        continue
+                    # after the run, the gap to the value below m is 1
+                    child = table[(u + b) * len(gs) + (len(gs) > 1)]
+                    if totals:  # each completion gains the run's statistics
+                        child = map(add, child, times(child, c * slot(1) + slot(2)
+                                                      + c * slot(3 + m % r)
+                                                      + slot(3 + r + min(c, r - 1))))
+                    runs[m * c:] = map(add, runs[m * c:], child)
+                for g in group:
+                    s = u * len(gs) + g
+                    new[s] = list(map(add, new[s], runs))
+                    if totals and g:  # and the gap from the value above m
+                        new[s] = list(map(add, new[s], times(runs, gap(g))))
+        table = new
+    return table
+
+
+def _width(size):
+    # Bits per statistic slot.  A state with k left has at most p(k)
+    # completions, and each adds at most k + 1 to a slot, so no slot of a
+    # table of this size carries into the next.
+    return ((size + 1) * _table(size, "none", 0, None, False)[0][size]).bit_length()
+
+
+_Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
+
+
+@lru_cache(maxsize=None)
+def _totals(n, family, r):
+    """Statistic totals over a plain family of n.
+
+    ``residue[t]`` sums the parts congruent to t mod r, ``repeats[t]`` the
+    values repeated at least t times and ``steep[t]`` the gaps (final part
+    included) at least t, for t in [1, r-1]; entry 0 is unused.  Only the
+    gap rule carries gaps, so ``steep`` is None outside the flat families.
+    """
+    family = _validate(n, family, r, None)
+    rule, viol = _SPEC[family]
+    size = _size(n)
+    width = _width(size)
+    packed = _table(size, rule, viol, r, True)[0][n]
+    s = [packed >> j * width & (1 << width) - 1 for j in range(3 + 3 * r)]
+
+    def at_least(hist):
+        return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
+
+    return _Totals(s[0], s[1], s[2], tuple(s[3:3 + r]), at_least(s[3 + r:3 + 2 * r]),
+                   at_least(s[3 + 2 * r:]) if rule == "gap" else None)
+
+
+# ---------------------------------------------------------------------------
+# Listing and membership: the spec read run by run, from the largest value
+# down, with state (n left, previous run value, violations used).
+# ---------------------------------------------------------------------------
+
 def _moves(n, prev, used, rule, viol, r):
     # the runs (v, c) a walk at state (n, prev, used) may take, in descending
     # order, each with the violations used after it
@@ -116,66 +236,8 @@ def _moves(n, prev, used, rule, viol, r):
 
 
 @lru_cache(maxsize=None)
-def _count(n, prev, used, rule, viol, r):
-    # number of completions of a walk state
-    if n == 0:
-        return int(used + _RULES[rule](r, prev, 0, 0) == viol)
-    total = 0
-    for v, c, u in _moves(n, prev, used, rule, viol, r):
-        total += _count(n - v * c, v, u, rule, viol, r)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _sums(n, prev, used, rule, viol, r):
-    # Count and statistic sums over the completions of a walk state: count,
-    # parts, distinct values, then three r-slots: parts by residue, runs by
-    # min(c, r-1), and gaps (final part included) by min(gap, r-1).
-    out = [0] * (3 + 3 * r)
-    steep = 3 + 2 * r
-    if n == 0:
-        if used + _RULES[rule](r, prev, 0, 0) == viol:
-            out[0] = 1
-            if prev:
-                out[steep + min(prev, r - 1)] = 1
-        return tuple(out)
-    for v, c, u in _moves(n, prev, used, rule, viol, r):
-        sub = _sums(n - v * c, v, u, rule, viol, r)
-        k = sub[0]
-        if k:
-            out = list(map(add, out, sub))
-            out[1] += c * k
-            out[2] += k
-            out[3 + v % r] += c * k
-            out[3 + r + min(c, r - 1)] += k
-            if prev:
-                out[steep + min(prev - v, r - 1)] += k
-    return tuple(out)
-
-
-_Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
-
-
-def _totals(n, family, r):
-    """Statistic totals over a plain family of n.
-
-    ``residue[t]`` sums the parts congruent to t mod r, ``repeats[t]`` the
-    values repeated at least t times and ``steep[t]`` the gaps (final part
-    included) at least t, for t in [1, r-1]; entry 0 is unused.
-    """
-    family = _validate(n, family, r, None)
-    s = _sums(n, 0, 0, *_SPEC[family], r)
-
-    def at_least(hist):
-        return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
-
-    return _Totals(s[0], s[1], s[2], s[3:3 + r],
-                   at_least(s[3 + r:3 + 2 * r]), at_least(s[3 + 2 * r:]))
-
-
-@lru_cache(maxsize=None)
 def _completes(n, prev, used, rule, viol, r):
-    # whether a walk state has a completion (a nonzero _count), by a search
+    # whether a walk state has a completion (a nonzero count), by a search
     # that stops at the first one, so a large family's first member streams
     # without counting the family
     if n == 0:
@@ -315,7 +377,7 @@ def count(n, family, r=None, t=None):
     """Number of members of the family; matches the enumeration exactly."""
     family = _validate(n, family, r, t)
     if family in _SPEC:
-        return _count(n, 0, 0, *_SPEC[family], r)
+        return _table(_size(n), *_SPEC[family], r, False)[0][n]
     base, _, _, size = _DECORATED[family]
     return size(_totals(n, base, r), t)
 
@@ -375,3 +437,13 @@ def enumerate_pairs(n, tag, r, t=None):
 def count_pairs(n, tag, r, t=None):
     """Number of pairs in the pair set; matches the enumeration exactly."""
     return sum(1 for _ in enumerate_pairs(n, tag, r, t))
+
+
+def clear_caches():
+    """Empty every memo table of the module.
+
+    That is the counting tables and totals, the lister's walk states, and
+    the results of ``count`` and ``count_pairs``.
+    """
+    for memo in (_table, _totals, _completes, _live, count, count_pairs):
+        memo.cache_clear()

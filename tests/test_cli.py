@@ -200,6 +200,23 @@ class TestVerify:
         code, out, err = run(capsys, "count", "--family", "Or", "--r", "3", "--n-max", "-1")
         assert code == 2 and out == "" and "n-max" in err
 
+    def test_count_rejects_both_sizes(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "Or", "--r", "3", "--n", "5", "--n-max", "3")
+        assert code == 2 and out == "" and "--n-max" in err
+
+    def test_verify_rejects_t_where_unused(self, capsys):
+        for identity in ("beck1", "beck2", "glaisher"):
+            code, out, err = run(capsys, "verify", identity, "--r", "3", "--t", "1", "--n-max", "4")
+            assert code == 2 and out == "" and "--t" in err, identity
+
+    def test_verify_rejects_degree_outside_series(self, capsys):
+        for identity in ("beck3", "beck1", "beck2", "glaisher"):
+            code, out, err = run(capsys, "verify", identity, "--r", "3", "--degree", "4")
+            assert code == 2 and out == "" and "--degree" in err, identity
+        code, out, _ = run(capsys, "verify", "series", "--r", "3", "--t", "1", "--degree", "4")
+        assert code == 0 and "pass" in out
+
     def test_usage_error_exits_two(self, capsys):
         assert run(capsys, "verify", "nonsense", "--r", "2")[0] == 2
         assert run(capsys, "count", "--family", "Or", "--n", "4")[0] == 2  # missing --r

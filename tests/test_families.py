@@ -1,9 +1,12 @@
 """Family enumeration against independent filter oracles, plus frozen fixtures."""
 
 from collections import Counter
+from functools import lru_cache
+from operator import add
 
 import pytest
 
+import beckpart
 from beckpart import families
 from beckpart import (
     Family,
@@ -14,6 +17,7 @@ from beckpart import (
     count_pairs,
     enumerate_family,
     enumerate_pairs,
+    gf,
     is_member,
 )
 from beckpart.partitions import MARK, OVERLINE
@@ -167,6 +171,100 @@ def test_listing_recovers_from_a_failed_search(monkeypatch):
         list(enumerate_family(12, Family.T_R, 3))
     monkeypatch.undo()
     assert list(enumerate_family(12, Family.T_R, 3)) == full
+
+
+# ---------------------------------------------------------------------------
+# The (n, prev) walk that counted and totalled the families before the
+# largest-value recurrence, kept as its oracle: every state (n left,
+# previous run value, violations used) tries every run (v, c) below the
+# previous value, roughly n^3 work in all.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def walk_count(n, prev, used, rule, viol, r):
+    if n == 0:
+        return int(used + families._RULES[rule](r, prev, 0, 0) == viol)
+    return sum(walk_count(n - v * c, v, u, rule, viol, r)
+               for v, c, u in families._moves(n, prev, used, rule, viol, r))
+
+
+@lru_cache(maxsize=None)
+def walk_sums(n, prev, used, rule, viol, r):
+    # count, parts, distinct values, then r-slots: parts by residue, runs by
+    # min(c, r-1), and gaps (final part included) by min(gap, r-1)
+    out = [0] * (3 + 3 * r)
+    steep = 3 + 2 * r
+    if n == 0:
+        if used + families._RULES[rule](r, prev, 0, 0) == viol:
+            out[0] = 1
+            if prev:
+                out[steep + min(prev, r - 1)] = 1
+        return tuple(out)
+    for v, c, u in families._moves(n, prev, used, rule, viol, r):
+        sub = walk_sums(n - v * c, v, u, rule, viol, r)
+        k = sub[0]
+        if k:
+            out = list(map(add, out, sub))
+            out[1] += c * k
+            out[2] += k
+            out[3 + v % r] += c * k
+            out[3 + r + min(c, r - 1)] += k
+            if prev:
+                out[steep + min(prev - v, r - 1)] += k
+    return tuple(out)
+
+
+def walk_totals(n, family, r):
+    s = walk_sums(n, 0, 0, *families._SPEC[family], r)
+
+    def at_least(hist):
+        return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
+
+    return families._Totals(s[0], s[1], s[2], s[3:3 + r],
+                            at_least(s[3 + r:3 + 2 * r]), at_least(s[3 + 2 * r:]))
+
+
+def test_counts_and_totals_match_the_walk_oracle():
+    for r in range(2, 8):
+        for n in range(0, 41):
+            for family in PLAIN:
+                spec = families._SPEC[family]
+                assert count(n, family, None if family is Family.ALL else r) == \
+                    walk_count(n, 0, 0, *spec, r), (n, family, r)
+                got = families._totals(n, family, r)
+                expected = walk_totals(n, family, r)
+                if spec[0] == "gap":
+                    assert got == expected, (n, family, r)
+                else:
+                    assert got.steep is None
+                    assert got._replace(steep=None) == expected._replace(steep=None), \
+                        (n, family, r)
+
+
+class TestCountingAtScale:
+    # Cold counts far past the exhaustive grids, under the default recursion
+    # limit; the series is only the reference here, never the route.
+    def test_cold_counts_of_a_thousand_match_the_series(self):
+        families.clear_caches()
+        assert count(1000, Family.O_R, 3) == gf("O_r", 3, bound=1000)[1000]
+        families.clear_caches()
+        assert count(1000, Family.O_1R, 3) == gf("O_1r", 3, bound=1000)[1000]
+
+    def test_counts_between_table_sizes(self):
+        # n on either side of a power of two reads tables of different sizes
+        for n in (15, 16, 17, 31, 32, 33, 64, 65):
+            assert count(n, Family.F_1R, 4) == walk_count(n, 0, 0, *families._SPEC[Family.F_1R], 4)
+
+
+def test_clear_caches_empties_every_memo():
+    count(12, Family.O_1R, 3)
+    families._totals(12, Family.F_R, 3)
+    list(enumerate_family(12, Family.T_R, 3))
+    count_pairs(6, PairSet.A, 2)
+    memos = [obj for obj in vars(families).values() if callable(getattr(obj, "cache_info", None))]
+    assert len(memos) >= 6 and all(m.cache_info().currsize for m in memos)
+    beckpart.clear_caches()
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
 
 class TestFrozenExamples:

@@ -145,6 +145,11 @@ class TestInvariants:
                 for t in range(1, r):
                     assert excess_Ert(n, r, t) == excess_Ert_flat(n, r, t)
 
+    def test_excess_agrees_with_flat_route_at_scale(self):
+        # the flat totals carry the gap of every state, here at n = 300
+        for t in (1, 2):
+            assert excess_Ert_flat(300, 3, t) == excess_Ert(300, 3, t)
+
     def test_excess_nonnegative(self):
         for r in range(2, 6):
             for n in range(0, 31):
