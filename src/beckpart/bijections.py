@@ -16,7 +16,11 @@ rectangles:
 
 Domain preconditions raise ``BijectionError`` eagerly.  Codomain
 postconditions raise ``ConstructionError``; they are explicit checks, not
-``assert`` statements, so they still run under ``python -O``.
+``assert`` statements, so they still run under ``python -O``.  A map that
+takes or returns a pair or a decorated partition checks both sides against
+the table entries of ``families`` through one membership reader: its input
+with ``_require`` and its image with ``_ensure``, each against the whole
+set, not against hand-written conditions.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .families import Family, is_member
+from .families import _NEEDS_T, Family, PairSet, _gap, _member, is_member
 from .partitions import (
     Composition,
     DecoratedPartition,
@@ -34,6 +38,7 @@ from .partitions import (
     RectanglePair,
     _check_modulus,
     _check_residue,
+    _is_flat_list,
     rectangle,
 )
 
@@ -80,6 +85,8 @@ class XiTrace:
 
 
 def _as_partition(lam):
+    if isinstance(lam, (DecoratedPartition, RectanglePair)):
+        raise BijectionError(f"expected a plain partition, got ({lam})")
     return lam if isinstance(lam, Partition) else Partition(lam)
 
 
@@ -89,13 +96,15 @@ def _ensure(ok, claim, value):
         raise ConstructionError(f"{claim}: ({value})")
 
 
-def _is_flat_list(parts, r):
-    # parts non-increasing; gaps (final included) all < r
-    if not parts:
-        return True
-    if parts[-1] > r - 1:
-        return False
-    return all(parts[i] - parts[i + 1] <= r - 1 for i in range(len(parts) - 1))
+def _require(x, s, r, t=None):
+    """A precondition: check r and t, then raise BijectionError unless x lies in s."""
+    if t is None and s not in _NEEDS_T:
+        _check_modulus(r)
+    else:
+        _check_residue(r, t)
+    if not _member(x, s, r, t):
+        raise BijectionError(
+            f"({x}) is not in {s.value} at r = {r}" + (f", t = {t}" if t else ""))
 
 
 def _locked_split(lam, r):
@@ -314,16 +323,6 @@ def phi_inverse(mu, r):
 # psi1: overlined-flat and one-steep partitions  <->  (flat, rectangle) pairs.
 # ---------------------------------------------------------------------------
 
-def _check_pair_rt(pair, r, t):
-    if not isinstance(pair, RectanglePair):
-        raise BijectionError(f"expected a RectanglePair, got {pair!r}")
-    if pair.part % r != t % r:
-        raise BijectionError(
-            f"rectangle part {pair.part} is not congruent to {t} mod {r}")
-    if not pair.flat.is_flat(r):
-        raise BijectionError(f"pair component ({pair.flat}) is not {r}-flat")
-
-
 def psi1_forward(nu, r, t):
     """Strip a rectangle of residue-t parts off the decorated/steep position.
 
@@ -332,53 +331,35 @@ def psi1_forward(nu, r, t):
     are disjoint: with a = 0 the gap at i is < r - t in case 1 and >= r - t
     in case 2.
     """
-    _check_residue(r, t)
     if isinstance(nu, DecoratedPartition):
-        if nu.decoration != OVERLINE:
-            raise BijectionError("psi1_forward takes an overlined partition")
-        base = nu.base
-        if not base.is_flat(r):
-            raise BijectionError(f"overlined base ({base}) is not {r}-flat")
+        _require(nu, Family.F_BAR, r, t)
         i = nu.position
-        if base.part_at(i) - base.part_at(i + 1) < t:
-            raise BijectionError(
-                f"overline at position {i} needs a gap of at least {t}")
-        flat = base - rectangle(t, i)
+        flat = nu.base - rectangle(t, i)
         pair = RectanglePair(flat, t, i)
-        _ensure(flat.part_at(i) - flat.part_at(i + 1) < r - t,
-                f"psi1 case-1 gap at {i} is not below {r - t}", flat)
-        size = nu.size
+        _ensure(_gap(flat, i) < r - t, f"psi1 case-1 gap at {i} is not below {r - t}", flat)
     else:
-        base = _as_partition(nu)
-        steep = _steep_positions(base, r)
-        if len(steep) != 1:
-            raise BijectionError(
-                f"psi1_forward needs exactly one gap >= {r}, got ({base})")
-        i = steep[0]
-        gap = base.part_at(i) - base.part_at(i + 1)
-        a = (gap - t) // r
-        flat = base - rectangle(a * r + t, i)
+        nu = _as_partition(nu)
+        _require(nu, Family.F_1R, r, t)
+        i = _steep_positions(nu, r)[0]
+        a = (_gap(nu, i) - t) // r
+        flat = nu - rectangle(a * r + t, i)
         pair = RectanglePair(flat, a * r + t, i)
-        _ensure(a > 0 or flat.part_at(i) - flat.part_at(i + 1) >= r - t,
-                f"psi1 case-2 gap at {i} is below {r - t}", flat)
-        size = base.size
-    _ensure(pair.flat.is_flat(r) and pair.size == size,
-            f"psi1 image is not a {r}-flat pair of size {size}", pair)
+        _ensure(a > 0 or _gap(flat, i) >= r - t, f"psi1 case-2 gap at {i} is below {r - t}", flat)
+    _ensure(_member(pair, PairSet.P_RT, r, t) and pair.size == nu.size,
+            f"psi1 image is not a pair of size {nu.size} in Prt", pair)
     return pair
 
 
 def psi1_inverse(pair, r, t):
     """Re-attach the rectangle; overline the landing position when no steep gap appears."""
-    _check_residue(r, t)
-    _check_pair_rt(pair, r, t)
+    _require(pair, PairSet.P_RT, r, t)
     i = pair.count
     nu = pair.flat + rectangle(pair.part, i)
-    if pair.part > t or nu.part_at(i) - nu.part_at(i + 1) >= r:
-        _ensure(is_member(nu, Family.F_1R, r), "psi1 preimage is not in F_1r", nu)
-        return nu
-    _ensure(nu.part_at(i) - nu.part_at(i + 1) >= t,
-            f"overlined gap at {i} is below {t}", nu)
-    return DecoratedPartition(nu, OVERLINE, i)
+    family = Family.F_1R if pair.part > t or _gap(nu, i) >= r else Family.F_BAR
+    if family is Family.F_BAR:
+        nu = DecoratedPartition(nu, OVERLINE, i)
+    _ensure(_member(nu, family, r, t), f"psi1 preimage is not in {family.value}", nu)
+    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +368,27 @@ def psi1_inverse(pair, r, t):
 
 def psi2_forward(lam, r, t):
     """Remove the marked value down to the mark's rank, then invert xi."""
-    _check_residue(r, t)
-    if not isinstance(lam, DecoratedPartition) or lam.decoration != MARK:
-        raise BijectionError("psi2_forward takes a partition with one marked part")
-    base = lam.base
-    if not base.is_regular(r):
-        raise BijectionError(f"marked base ({base}) is not {r}-regular")
-    value = lam.value
-    if value % r != t:
-        raise BijectionError(f"marked part {value} is not congruent to {t} mod {r}")
+    _require(lam, Family.O_STAR, r, t)
+    base, value = lam.base, lam.value
     first = base.index(value)
     i = lam.position - first  # rank of the mark among equal parts
     remainder = Partition._make(
         [p for idx, p in enumerate(base) if not (p == value and idx < first + i)]
     )
     pair = RectanglePair(xi_inverse(remainder, r), value, i)
-    _ensure(pair.size == base.size, f"psi2 image does not have size {base.size}", pair)
+    _ensure(_member(pair, PairSet.P_RT, r, t) and pair.size == base.size,
+            f"psi2 image is not a pair of size {base.size} in Prt", pair)
     return pair
 
 
 def psi2_inverse(pair, r, t):
     """Push the flat component through xi, merge the rectangle, mark its last copy."""
-    _check_residue(r, t)
-    _check_pair_rt(pair, r, t)
+    _require(pair, PairSet.P_RT, r, t)
     nu = xi_forward(pair.flat, r).output.union(pair.rectangle())
     position = nu.index(pair.part) + pair.count  # the count-th copy, 1-based
-    return DecoratedPartition(nu, MARK, position)
+    lam = DecoratedPartition(nu, MARK, position)
+    _ensure(_member(lam, Family.O_STAR, r, t), "psi2 preimage is not in Ostar", lam)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -423,72 +399,45 @@ def _remove_one(base, position):
     return Partition._make([p for idx, p in enumerate(base, start=1) if idx != position])
 
 
-def _check_unit_pair(pair, r):
-    if not isinstance(pair, RectanglePair) or pair.part != 1:
-        raise BijectionError(f"expected a (flat, (1^i)) pair, got {pair!r}")
-    if not pair.flat.is_flat(r):
-        raise BijectionError(f"pair component ({pair.flat}) is not {r}-flat")
+def _overline_last(nu, i):
+    # nu with an overline on the last occurrence of the value i
+    return DecoratedPartition(nu, OVERLINE, len(nu) - nu[::-1].index(i))
 
 
 def psi_o_forward(lam, r):
     """Drop the overlined part of an r-regular partition; invert xi on the rest."""
-    _check_modulus(r)
-    if not isinstance(lam, DecoratedPartition) or lam.decoration != OVERLINE:
-        raise BijectionError("psi_o_forward takes an overlined partition")
-    if not lam.base.is_regular(r):
-        raise BijectionError(f"overlined base ({lam.base}) is not {r}-regular")
-    i = lam.value
-    pair = RectanglePair(xi_inverse(_remove_one(lam.base, lam.position), r), 1, i)
-    _ensure(i % r != 0, f"overlined part {i} is divisible by {r}", lam)
+    _require(lam, Family.O_BAR, r)
+    pair = RectanglePair(xi_inverse(_remove_one(lam.base, lam.position), r), 1, lam.value)
+    _ensure(_member(pair, PairSet.A_O, r), "psi_o image is not in Ao", pair)
     return pair
 
 
 def psi_o_inverse(pair, r):
-    _check_unit_pair(pair, r)
-    i = pair.count
-    if i % r == 0:
-        raise BijectionError(f"rectangle height {i} must not be divisible by {r}")
-    nu = xi_forward(pair.flat, r).output.union(Partition._make((i,)))
-    position = len(nu) - list(reversed(nu)).index(i)  # last occurrence of i
-    return DecoratedPartition(nu, OVERLINE, position)
+    _require(pair, PairSet.A_O, r)
+    lam = _overline_last(xi_forward(pair.flat, r).output.union((pair.count,)), pair.count)
+    _ensure(_member(lam, Family.O_BAR, r), "psi_o preimage is not in Obar", lam)
+    return lam
 
 
 def psi_d_forward(lam, r):
     """Drop the overlined part of a multiplicity-bounded partition; conjugate."""
-    _check_modulus(r)
-    if not isinstance(lam, DecoratedPartition) or lam.decoration != OVERLINE:
-        raise BijectionError("psi_d_forward takes an overlined partition")
-    if lam.base.max_multiplicity() > r - 1:
-        raise BijectionError(f"overlined base ({lam.base}) repeats a part {r}+ times")
-    i = lam.value
-    flat = _remove_one(lam.base, lam.position).conjugate()
-    pair = RectanglePair(flat, 1, i)
-    _ensure(flat.part_at(i) - flat.part_at(i + 1) < r - 1,
-            f"psi_d gap at {i} is not below {r - 1}", flat)
-    _ensure(flat.is_flat(r), f"psi_d image is not {r}-flat", flat)
+    _require(lam, Family.D_BAR, r)
+    pair = RectanglePair(_remove_one(lam.base, lam.position).conjugate(), 1, lam.value)
+    _ensure(_member(pair, PairSet.A_D, r), "psi_d image is not in Ad", pair)
     return pair
 
 
 def psi_d_inverse(pair, r):
-    _check_unit_pair(pair, r)
-    i = pair.count
-    if pair.flat.part_at(i) - pair.flat.part_at(i + 1) >= r - 1:
-        raise BijectionError(f"gap at position {i} must be below {r - 1}")
-    nu = pair.flat.conjugate().union(Partition._make((i,)))
-    position = len(nu) - list(reversed(nu)).index(i)
-    lam = DecoratedPartition(nu, OVERLINE, position)
-    _ensure(nu.max_multiplicity() <= r - 1, f"psi_d preimage repeats a part {r}+ times", nu)
+    _require(pair, PairSet.A_D, r)
+    lam = _overline_last(pair.flat.conjugate().union((pair.count,)), pair.count)
+    _ensure(_member(lam, Family.D_BAR, r), "psi_d preimage is not in Dbar", lam)
     return lam
 
 
 def psi_t_forward(lam, r):
     """Remove r copies of the overloaded value, conjugate, record i = r*value."""
-    _check_modulus(r)
     lam = _as_partition(lam)
-    if not is_member(lam, Family.T_R, r):
-        raise BijectionError(
-            f"psi_t_forward needs exactly one value repeated strictly between "
-            f"{r} and {2 * r} times, got ({lam})")
+    _require(lam, Family.T_R, r)
     j = next(v for v, c in lam.multiplicities().items() if c >= r)
     survivors = []
     dropped = 0
@@ -497,23 +446,15 @@ def psi_t_forward(lam, r):
             dropped += 1
         else:
             survivors.append(p)
-    flat = Partition._make(survivors).conjugate()
-    pair = RectanglePair(flat, 1, r * j)
-    _ensure(flat.part_at(j) - flat.part_at(j + 1) > 0, f"psi_t gap at {j} is zero", flat)
-    _ensure(flat.is_flat(r), f"psi_t image is not {r}-flat", flat)
+    pair = RectanglePair(Partition._make(survivors).conjugate(), 1, r * j)
+    _ensure(_member(pair, PairSet.A_T, r), "psi_t image is not in At", pair)
     return pair
 
 
 def psi_t_inverse(pair, r):
-    _check_unit_pair(pair, r)
-    i = pair.count
-    if i % r != 0:
-        raise BijectionError(f"rectangle height {i} must be divisible by {r}")
-    j = i // r
-    if pair.flat.part_at(j) - pair.flat.part_at(j + 1) <= 0:
-        raise BijectionError(f"gap at position {j} must be positive")
-    lam = pair.flat.conjugate().union(rectangle(j, r))
-    _ensure(is_member(lam, Family.T_R, r), "psi_t preimage is not in T_r", lam)
+    _require(pair, PairSet.A_T, r)
+    lam = pair.flat.conjugate().union(rectangle(pair.count // r, r))
+    _ensure(_member(lam, Family.T_R, r), "psi_t preimage is not in Tr", lam)
     return lam
 
 
@@ -522,31 +463,18 @@ def psi_t_inverse(pair, r):
 # ---------------------------------------------------------------------------
 
 def zeta_forward(pair, r):
-    _check_modulus(r)
-    _check_unit_pair(pair, r)
+    _require(pair, PairSet.A, r)
     j = pair.count
-    if pair.flat.part_at(j) - pair.flat.part_at(j + 1) != r - 1:
-        raise BijectionError(
-            f"zeta_forward needs a gap of exactly {r - 1} at position {j}")
-    shrunk = pair.flat - rectangle(r - 1, j)
-    image = RectanglePair(shrunk, 1, r * j)
-    _ensure(shrunk.part_at(j) - shrunk.part_at(j + 1) == 0,
-            f"zeta gap at {j} is not zero", shrunk)
-    _ensure(image.size == pair.size, f"zeta image does not have size {pair.size}", image)
+    image = RectanglePair(pair.flat - rectangle(r - 1, j), 1, r * j)
+    _ensure(_member(image, PairSet.B, r) and image.size == pair.size,
+            f"zeta image is not a pair of size {pair.size} in B", image)
     return image
 
 
 def zeta_inverse(pair, r):
-    _check_modulus(r)
-    _check_unit_pair(pair, r)
-    i = pair.count
-    if i % r != 0:
-        raise BijectionError(f"rectangle height {i} must be divisible by {r}")
-    j = i // r
-    if pair.flat.part_at(j) - pair.flat.part_at(j + 1) != 0:
-        raise BijectionError(f"gap at position {j} must be zero")
-    grown = pair.flat + rectangle(r - 1, j)
-    image = RectanglePair(grown, 1, j)
-    _ensure(grown.is_flat(r) and image.size == pair.size,
-            f"zeta preimage is not a {r}-flat pair of size {pair.size}", image)
+    _require(pair, PairSet.B, r)
+    j = pair.count // r
+    image = RectanglePair(pair.flat + rectangle(r - 1, j), 1, j)
+    _ensure(_member(image, PairSet.A, r) and image.size == pair.size,
+            f"zeta preimage is not a pair of size {pair.size} in A", image)
     return image

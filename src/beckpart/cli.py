@@ -258,14 +258,27 @@ def _decorated_input(args):
 
 
 def _cmd_bijection(args, out):
-    if args.map == "zeta" or args.rect_count is not None:
+    forward, inverse, needs_t = _BIJECTIONS[args.map]
+    pair = args.map == "zeta" or args.rect_count is not None
+    for flag, unused, reason in (
+            ("--trace", args.trace and (args.map != "xi" or args.inverse),
+             "only the forward xi map has a trace"),
+            ("--t", args.t is not None and not needs_t, f"map {args.map!r} takes no residue"),
+            ("--rect-part", args.rect_part is not None and args.rect_count is None,
+             "it needs --rect-count"),
+            ("--mark-position", pair and args.mark_position is not None, "the input is a pair"),
+            ("--overline-position", pair and args.overline_position is not None,
+             "the input is a pair")):
+        if unused:
+            raise ValueError(f"{flag} is not used: {reason}")
+    if pair:
         if args.rect_count is None:
             raise ValueError(f"map {args.map!r} takes a pair: add --rect-count (and --rect-part)")
-        obj = RectanglePair(parse_partition(args.partition), args.rect_part, args.rect_count)
+        rect_part = 1 if args.rect_part is None else args.rect_part
+        obj = RectanglePair(parse_partition(args.partition), rect_part, args.rect_count)
     else:
         obj = _decorated_input(args)
 
-    forward, inverse, needs_t = _BIJECTIONS[args.map]
     apply = inverse if args.inverse else forward
     if not needs_t:
         result = apply(obj, args.r)
@@ -316,9 +329,10 @@ def build_parser():
         description="Exact verification toolkit for Beck-type partition identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_r=True):
-        p.add_argument("--r", type=int, required=need_r, help="modulus r >= 2")
-        p.add_argument("--t", type=int, default=None, help="residue t in [1, r-1]")
+    def common(p, residue=True):
+        p.add_argument("--r", type=int, required=True, help="modulus r >= 2")
+        if residue:
+            p.add_argument("--t", type=int, default=None, help="residue t in [1, r-1]")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("enumerate", help="list a family or pair set")
@@ -346,13 +360,13 @@ def build_parser():
     p.add_argument("--partition", required=True, help="comma-separated parts, ^ exponents allowed")
     p.add_argument("--mark-position", type=int, dest="mark_position")
     p.add_argument("--overline-position", type=int, dest="overline_position")
-    p.add_argument("--rect-part", type=int, dest="rect_part", default=1)
+    p.add_argument("--rect-part", type=int, dest="rect_part", help="default 1")
     p.add_argument("--rect-count", type=int, dest="rect_count")
     p.add_argument("--trace", action="store_true", help="emit the full JSON trace (xi)")
     p.add_argument("--inverse", action="store_true", help="apply the inverse direction")
 
     p = sub.add_parser("diagram", help="render the r-modular Ferrers diagram")
-    common(p)
+    common(p, residue=False)
     p.add_argument("--partition", required=True)
 
     p = sub.add_parser("series", help="dump generating-function coefficients")

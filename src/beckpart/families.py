@@ -10,8 +10,8 @@ Plain families (for a modulus r >= 2):
 * ``F1r`` -- exactly one gap at least r;
 * ``Tr``  -- exactly one value repeated more than r but fewer than 2r times.
 
-Decorated families attach one mark or overline per the rules below, and the
-pair sets couple an r-flat partition with a rectangle.
+Decorated families attach one mark or overline to a member of a plain base
+family, and the pair sets couple an r-flat partition with a rectangle.
 
 Every plain family is one spec: a walk over the runs (v, c) of a partition,
 values descending, in which each run is checked by one rule and the family
@@ -21,6 +21,14 @@ statistic totals read it through a largest-value recurrence: each value m,
 from the largest down, is skipped or taken c times, and one table per size
 serves every n up to that size.  Counts are never listings and never come
 from ``qseries``.
+
+Every decorated family and every pair set is one table entry as well: a
+base family with a rule for the positions that may carry the decoration,
+or a kind of rectangle with a filter on its height i and a test of the
+flat component's gap at i or i/r.  An entry is read three ways: the lister
+streams it, a private membership reader tests one object against it, and
+the maps of ``bijections`` check their domains and images through that
+reader.
 
 Every enumerator is deterministic: bases stream in descending lexicographic
 order, decorations by increasing position, rectangles by increasing part
@@ -44,6 +52,7 @@ from .partitions import (
     RectanglePair,
     _check_modulus,
     _check_residue,
+    _is_flat_list,
     _is_int,
 )
 
@@ -189,7 +198,7 @@ def _width(size):
 _Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as count: a bool n must miss and fail
 def _totals(n, family, r):
     """Statistic totals over a plain family of n.
 
@@ -315,45 +324,87 @@ def is_member(lam, family, r, t=None):
 
 
 # ---------------------------------------------------------------------------
-# Decorated families: a plain base family with one decoration per allowed
-# position.  Each is counted by one totals entry of its base.
+# Decorated families and pair sets, one table entry each.  The lister, the
+# membership readers and the maps' domain and image checks all read them.
 # ---------------------------------------------------------------------------
 
-def _last_occurrences(lam, r, t):
-    return [i for i in range(1, len(lam) + 1) if i == len(lam) or lam[i] != lam[i - 1]]
+def _gap(lam, i):
+    # the gap at 1-based position i, parts past the length reading 0
+    return lam.part_at(i) - lam.part_at(i + 1)
 
 
-# family -> (base, decoration, allowed positions, size from the base totals)
+def _any(*_):
+    return True
+
+
+def _last_occurrence(lam, r, t, i):
+    return i == len(lam) or lam[i] != lam[i - 1]
+
+
+# family -> (base, decoration, whether position i may carry it, size from
+# the base totals).  Each is counted by one totals entry of its base.
 _DECORATED = {
-    Family.O_STAR: (Family.O_R, MARK,
-                    lambda lam, r, t: [i for i, p in enumerate(lam, start=1) if p % r == t],
+    Family.O_STAR: (Family.O_R, MARK, lambda lam, r, t, i: lam[i - 1] % r == t,
                     lambda totals, t: totals.residue[t]),
-    Family.F_BAR: (Family.F_R, OVERLINE,
-                   lambda lam, r, t: [i for i, g in enumerate(lam.gaps(), start=1) if g >= t],
+    Family.F_BAR: (Family.F_R, OVERLINE, lambda lam, r, t, i: _gap(lam, i) >= t,
                    lambda totals, t: totals.steep[t]),
-    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrences, lambda totals, t: totals.distinct),
-    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrences, lambda totals, t: totals.distinct),
+    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrence, lambda totals, t: totals.distinct),
+    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrence, lambda totals, t: totals.distinct),
 }
-_NEEDS_T = (Family.O_STAR, Family.F_BAR)
+
+# pair set -> (whether the rectangle (s^i) has parts s of residue t rather
+# than s = 1, whether height i is kept, a gap test on the r-flat component)
+_PAIRS = {
+    PairSet.P_RT: (True, _any, _any),
+    PairSet.A_O: (False, lambda r, i: i % r != 0, _any),
+    PairSet.A_D: (False, _any, lambda flat, r, i: _gap(flat, i) < r - 1),
+    PairSet.A_T: (False, lambda r, i: i % r == 0, lambda flat, r, i: _gap(flat, i // r) > 0),
+    PairSet.A: (False, _any, lambda flat, r, i: _gap(flat, i) == r - 1),
+    PairSet.B: (False, lambda r, i: i % r == 0, lambda flat, r, i: _gap(flat, i // r) == 0),
+}
+_NEEDS_T = (Family.O_STAR, Family.F_BAR, PairSet.P_RT)
+
+
+def _in_decorated(x, family, r, t=None):
+    # whether x lies in the decorated family, r and t taken as valid
+    base, decoration, allowed, _ = _DECORATED[family]
+    return (isinstance(x, DecoratedPartition) and x.decoration == decoration
+            and is_member(x.base, base, r) and allowed(x.base, r, t, x.position))
+
+
+def _in_pairs(x, tag, r, t=None):
+    # whether x lies in the pair set, r and t taken as valid
+    residue, height, gap = _PAIRS[tag]
+    return (isinstance(x, RectanglePair) and (x.part % r == t if residue else x.part == 1)
+            and height(r, x.count) and _is_flat_list(x.flat, r) and gap(x.flat, r, x.count))
+
+
+def _member(x, tag, r, t=None):
+    # whether x lies in the family or pair set, r and t taken as valid
+    if tag in _PAIRS:
+        return _in_pairs(x, tag, r, t)
+    if tag in _DECORATED:
+        return _in_decorated(x, tag, r, t)
+    return isinstance(x, Partition) and is_member(x, tag, r)
 
 
 # ---------------------------------------------------------------------------
 # Public enumeration API.
 # ---------------------------------------------------------------------------
 
-def _validate(n, family, r, t):
+def _validate(n, tag, r, t, kind=Family):
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    family = Family(family)
-    if family is not Family.ALL:
+    tag = kind(tag)
+    if tag is not Family.ALL:
         _check_modulus(r)
-    if family in _NEEDS_T:
+    if tag in _NEEDS_T:
         if t is None:
-            raise ValueError(f"family {family.value!r} requires the residue t")
+            raise ValueError(f"{tag.value!r} requires the residue t")
         _check_residue(r, t)
     elif t is not None:
-        raise ValueError(f"family {family.value!r} does not take a residue t")
-    return family
+        raise ValueError(f"{tag.value!r} does not take a residue t")
+    return tag
 
 
 def enumerate_family(n, family, r=None, t=None):
@@ -366,10 +417,11 @@ def enumerate_family(n, family, r=None, t=None):
     if family in _SPEC:
         yield from _walk(n, *_SPEC[family], r)
         return
-    base, decoration, positions, _ = _DECORATED[family]
+    base, decoration, allowed, _ = _DECORATED[family]
     for lam in _walk(n, *_SPEC[base], r):
-        for i in positions(lam, r, t):
-            yield DecoratedPartition(lam, decoration, i)
+        for i in range(1, len(lam) + 1):
+            if allowed(lam, r, t, i):
+                yield DecoratedPartition(lam, decoration, i)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
@@ -388,52 +440,17 @@ def enumerate_pairs(n, tag, r, t=None):
     Rectangles iterate by increasing part then increasing count, the flat
     component in descending lexicographic order within each rectangle.
     """
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    tag = PairSet(tag)
-    _check_modulus(r)
-    if tag is PairSet.P_RT:
-        if t is None:
-            raise ValueError("pair set 'Prt' requires the residue t")
-        _check_residue(r, t)
-    elif t is not None:
-        raise ValueError(f"pair set {tag.value!r} does not take a residue t")
-    flat_spec = _SPEC[Family.F_R]
-
-    if tag is PairSet.P_RT:
-        s = t
-        while s <= n:
-            for i in range(1, n // s + 1):
-                for flat in _walk(n - s * i, *flat_spec, r):
-                    yield RectanglePair(flat, s, i)
-            s += r
-        return
-
-    for i in range(1, n + 1):
-        if tag is PairSet.A_O:
-            if i % r == 0:
-                continue
-        elif tag in (PairSet.A_T, PairSet.B):
-            if i % r != 0:
-                continue
-        j = i // r
-        for flat in _walk(n - i, *flat_spec, r):
-            if tag is PairSet.A_D:
-                if flat.part_at(i) - flat.part_at(i + 1) >= r - 1:
-                    continue
-            elif tag is PairSet.A_T:
-                if flat.part_at(j) - flat.part_at(j + 1) <= 0:
-                    continue
-            elif tag is PairSet.A:
-                if flat.part_at(i) - flat.part_at(i + 1) != r - 1:
-                    continue
-            elif tag is PairSet.B:
-                if flat.part_at(j) - flat.part_at(j + 1) != 0:
-                    continue
-            yield RectanglePair(flat, 1, i)
+    tag = _validate(n, tag, r, t, PairSet)
+    residue, height, gap = _PAIRS[tag]
+    for s in range(t, n + 1, r) if residue else (1,):
+        for i in range(1, n // s + 1):
+            if height(r, i):
+                for flat in _walk(n - s * i, *_SPEC[Family.F_R], r):
+                    if gap(flat, r, i):
+                        yield RectanglePair(flat, s, i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_pairs(n, tag, r, t=None):
     """Number of pairs in the pair set; matches the enumeration exactly."""
     return sum(1 for _ in enumerate_pairs(n, tag, r, t))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 
 
 def _is_int(x):
@@ -31,6 +32,11 @@ def _check_residue(r, t):
     _check_modulus(r)
     if not _is_int(t) or not 1 <= t <= r - 1:
         raise ValueError(f"residue t must lie in [1, {r - 1}], got {t!r}")
+
+
+def _is_flat_list(parts, r):
+    # whether every gap of the non-increasing parts, the final part included, is below r
+    return not parts or (parts[-1] < r and max(map(sub, parts, parts[1:]), default=0) < r)
 
 
 class Partition(tuple):
@@ -165,11 +171,7 @@ class Partition(tuple):
     def is_flat(self, r):
         """True when every gap (final part included) is at most r - 1."""
         _check_modulus(r)
-        if not self:
-            return True
-        if self[-1] > r - 1:
-            return False
-        return all(self[i] - self[i + 1] <= r - 1 for i in range(len(self) - 1))
+        return _is_flat_list(self, r)
 
     def max_multiplicity(self):
         return max(self.multiplicities().values(), default=0)

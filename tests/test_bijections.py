@@ -412,6 +412,62 @@ class TestUnitRectangleMaps:
                 assert pair.flat.part_at(i) - pair.flat.part_at(i + 1) <= 1
 
 
+# Every map direction with a pair or decorated side, and the sets its domain
+# is the union of.
+DIRECTIONS = [
+    (psi1_forward, (Family.F_BAR, Family.F_1R)),
+    (psi1_inverse, (PairSet.P_RT,)),
+    (psi2_forward, (Family.O_STAR,)),
+    (psi2_inverse, (PairSet.P_RT,)),
+    (psi_o_forward, (Family.O_BAR,)),
+    (psi_o_inverse, (PairSet.A_O,)),
+    (psi_d_forward, (Family.D_BAR,)),
+    (psi_d_inverse, (PairSet.A_D,)),
+    (psi_t_forward, (Family.T_R,)),
+    (psi_t_inverse, (PairSet.A_T,)),
+    (zeta_forward, (PairSet.A,)),
+    (zeta_inverse, (PairSet.B,)),
+]
+
+
+def candidates(n):
+    """Every partition of n, every mark and legal overline on one, and every
+    (partition, (s^i)) of size n, the partition flat or not."""
+    out = []
+    for lam in enumerate_family(n, Family.ALL):
+        out.append(lam)
+        for i in range(1, len(lam) + 1):
+            out.append(DecoratedPartition(lam, MARK, i))
+            if i == len(lam) or lam[i] != lam[i - 1]:
+                out.append(DecoratedPartition(lam, OVERLINE, i))
+    out += [RectanglePair(f, s, i) for s in range(1, n + 1) for i in range(1, n // s + 1)
+            for f in enumerate_family(n - s * i, Family.ALL)]
+    return out
+
+
+def members(n, s, r, t):
+    if isinstance(s, PairSet):
+        return set(enumerate_pairs(n, s, r, t))
+    return set(enumerate_family(n, s, r, t if s in (Family.O_STAR, Family.F_BAR) else None))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_maps_take_exactly_their_domain(r):
+    for n in range(0, 13):
+        every = candidates(n)
+        for f, domain in DIRECTIONS:
+            takes_t = f.__name__.startswith(("psi1", "psi2"))
+            for t in range(1, r) if takes_t else (None,):
+                args = (r, t) if takes_t else (r,)
+                inside = set().union(*(members(n, s, r, t) for s in domain))
+                for x in every:
+                    if x in inside:
+                        f(x, *args)
+                    else:
+                        with pytest.raises(BijectionError):
+                            f(x, *args)
+
+
 class TestZeta:
     def test_trivial_fixture(self):
         pair = zeta_forward(RectanglePair(Partition((2,)), 1, 1), 3)

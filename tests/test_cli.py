@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from beckpart import Partition, cli
 
 
@@ -74,6 +76,34 @@ class TestBijectionCommand:
         code, _, err = run(
             capsys, "bijection", "--map", "xi", "--r", "3", "--partition", "7,1")
         assert code == 2 and "flat" in err
+
+
+    # A flag the call would ignore exits 2 and names the flag.
+    IGNORED_FLAGS = [
+        ("--trace", "bijection --map phi --r 5 --partition 27,24,20,15,13,10,6,5,2 --trace"),
+        ("--trace", "bijection --map xi --inverse --r 5 --partition 32,24,23,16,12 --trace"),
+        ("--trace", "bijection --map xi-inv --r 5 --partition 32,24,23,16,12 --trace"),
+        ("--t", "bijection --map psi-o --r 5 --t 1 --partition 32,24,23,16,16,12"
+                " --overline-position 5"),
+        ("--mark-position", "bijection --map zeta --r 3 --partition 2 --rect-count 1"
+                            " --mark-position 1"),
+        ("--overline-position", "bijection --map zeta --r 3 --partition 2 --rect-count 1"
+                                " --overline-position 1"),
+        ("--rect-part", "bijection --map psi-o --r 5 --partition 32,24,23,16,16,12"
+                        " --overline-position 5 --rect-part 2"),
+        ("--t", "diagram --r 4 --partition 10,7 --t 1"),
+    ]
+
+    @pytest.mark.parametrize("flag, argv", IGNORED_FLAGS)
+    def test_ignored_flag_is_usage_error(self, capsys, flag, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and flag in err
+
+    def test_rect_part_with_rect_count(self, capsys):
+        code, out, _ = run(
+            capsys, "bijection", "--map", "psi1", "--inverse", "--r", "3", "--t", "2",
+            "--partition", "3,2,1", "--rect-part", "2", "--rect-count", "1")
+        assert code == 0 and out.strip() == "5,2,1"
 
 
 class TestCountAndEnumerate:

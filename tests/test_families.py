@@ -9,6 +9,7 @@ import pytest
 import beckpart
 from beckpart import families
 from beckpart import (
+    DecoratedPartition,
     Family,
     PairSet,
     Partition,
@@ -347,6 +348,49 @@ class TestPairSets:
                 assert count_pairs(n, PairSet.A, r) == count_pairs(n, PairSet.B, r)
 
 
+# ---------------------------------------------------------------------------
+# The pair-set and decorated-family tables: the membership readers accept
+# exactly the members the lister streams, among every candidate of a size.
+# ---------------------------------------------------------------------------
+
+def candidate_pairs(n):
+    """Every (partition, (s^i)) of size n, the partition flat or not."""
+    return [RectanglePair(Partition(f), s, i)
+            for s in range(1, n + 1) for i in range(1, n // s + 1)
+            for f in all_partitions(n - s * i)]
+
+
+def candidate_decorations(n):
+    """Every mark and every overline on a last occurrence, over all partitions of n."""
+    out = []
+    for p in all_partitions(n):
+        for i in range(1, len(p) + 1):
+            out.append(DecoratedPartition(Partition(p), MARK, i))
+            if i == len(p) or p[i] != p[i - 1]:
+                out.append(DecoratedPartition(Partition(p), OVERLINE, i))
+    return out
+
+
+def residues(tag, r):
+    return range(1, r) if tag in families._NEEDS_T else (None,)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_membership_readers_accept_exactly_the_listed_members(r):
+    for n in range(0, 13):
+        pairs, decorated = candidate_pairs(n), candidate_decorations(n)
+        for tag in PairSet:
+            for t in residues(tag, r):
+                members = set(enumerate_pairs(n, tag, r, t))
+                assert {p for p in pairs if families._in_pairs(p, tag, r, t)} == members, \
+                    (n, tag, r, t)
+        for family in families._DECORATED:
+            for t in residues(family, r):
+                members = set(enumerate_family(n, family, r, t))
+                assert {d for d in decorated if families._in_decorated(d, family, r, t)} \
+                    == members, (n, family, r, t)
+
+
 class TestValidation:
     def test_t_required_exactly_for_t_tags(self):
         with pytest.raises(ValueError):
@@ -370,3 +414,9 @@ class TestValidation:
             count(True, Family.O_R, 3)
         with pytest.raises(ValueError):
             count(True, "Or", 3)
+
+    def test_warm_pair_count_rejects_bool_size(self):
+        # a warm cache must not answer a bool size with the count of 1
+        assert count_pairs(1, "Ao", 3) == 1
+        with pytest.raises(ValueError):
+            count_pairs(True, "Ao", 3)

@@ -120,6 +120,14 @@ class TestAggregates:
         assert beck_b(5, 2) == 4
         assert beck_b_prime(5, 2) == 1
 
+    def test_warm_totals_reject_non_int_sizes(self):
+        # a warm totals cache must not answer True or 1.0 with the totals of 1
+        assert excess_Ert(1, 3, 1) == 0
+        for call in (lambda: excess_Ert(True, 3, 1), lambda: beck_b(1.0, 3),
+                     lambda: total_residue_parts(True, 3, 1)):
+            with pytest.raises(ValueError):
+                call()
+
     def test_totals_count_decorated_families(self):
         for r in (2, 3):
             for n in range(0, 15):
