@@ -26,8 +26,6 @@ from .partitions import (
     parse_partition,
 )
 
-IDENTITIES = ("beck3", "beck1", "beck2", "glaisher", "series")
-
 # map -> (forward, inverse, needs t); "xi-inv" is xi_inverse in both directions
 _BIJECTIONS = {
     "xi": (bijections.xi_forward, bijections.xi_inverse, False),
@@ -99,56 +97,38 @@ class VerificationReport:
         return {"text": self.to_text, "json": self.to_json, "csv": self.to_csv}[fmt]()
 
 
-def _t_range(args, r):
-    if args.t is not None:
-        return (args.t,)
-    return tuple(range(1, r))
+def _count(family):
+    return lambda n, r, t: families.count(n, family, r)
 
 
-def _verify_beck3(args):
-    r, n_max = args.r, args.n_max
-    report = VerificationReport("beck3", r, n_max, _t_range(args, r))
-    for n in range(n_max + 1):
-        o1 = families.count(n, Family.O_1R, r)
-        for t in report.t_values:
-            report.record(n, t, stats.excess_Ert(n, r, t), o1)
-        report.record(n, None, o1, families.count(n, Family.D_1R, r))
-    return report
+# identity -> its checks in report order, each (per t, lhs, rhs).  A side is a
+# function of (n, r, t) that looks up its module function when called, so a
+# patched module attribute is seen.  The report runs: for n, for each check,
+# for each t if the check is per t (else t = None).
+_IDENTITIES = {
+    "beck3": ((True, lambda n, r, t: stats.excess_Ert(n, r, t), _count(Family.O_1R)),
+              (False, _count(Family.O_1R), _count(Family.D_1R))),
+    "beck1": ((False, lambda n, r, t: stats.beck_b(n, r),
+               lambda n, r, t: (r - 1) * families.count(n, Family.O_1R, r)),
+              (False, lambda n, r, t: stats.beck_b(n, r),
+               lambda n, r, t: sum(stats.excess_Ert(n, r, u) for u in range(1, r)))),
+    "beck2": ((False, lambda n, r, t: stats.beck_b_prime(n, r), _count(Family.T_R)),),
+    "glaisher": ((False, _count(Family.O_R), _count(Family.D_R)),
+                 (False, _count(Family.D_R), _count(Family.F_R))),
+}
 
 
-def _verify_beck1(args):
-    r, n_max = args.r, args.n_max
-    report = VerificationReport("beck1", r, n_max, ())
-    for n in range(n_max + 1):
-        b = stats.beck_b(n, r)
-        report.record(n, None, b, (r - 1) * families.count(n, Family.O_1R, r))
-        report.record(n, None, b, sum(stats.excess_Ert(n, r, t) for t in range(1, r)))
-    return report
+def _check_counts(report):
+    r = report.r
+    for n in range(report.n_max + 1):
+        for per_t, lhs, rhs in _IDENTITIES[report.identity]:
+            for t in report.t_values if per_t else (None,):
+                report.record(n, t, lhs(n, r, t), rhs(n, r, t))
 
 
-def _verify_beck2(args):
-    r, n_max = args.r, args.n_max
-    report = VerificationReport("beck2", r, n_max, ())
-    for n in range(n_max + 1):
-        report.record(n, None, stats.beck_b_prime(n, r), families.count(n, Family.T_R, r))
-    return report
-
-
-def _verify_glaisher(args):
-    r, n_max = args.r, args.n_max
-    report = VerificationReport("glaisher", r, n_max, ())
-    for n in range(n_max + 1):
-        o = families.count(n, Family.O_R, r)
-        d = families.count(n, Family.D_R, r)
-        report.record(n, None, o, d)
-        report.record(n, None, d, families.count(n, Family.F_R, r))
-    return report
-
-
-def _verify_series(args):
-    r = args.r
-    bound = args.degree if args.degree is not None else args.n_max
-    report = VerificationReport("series", r, bound, _t_range(args, r))
+def _check_series(report):
+    # each series is built once per t, so the points run t-outer
+    r, bound = report.r, report.n_max
     eta = qseries.gf("O_r", r, bound=bound)
     o1 = qseries.gf("O_1r", r, bound=bound)
     ert = qseries.gf("E_rt", r, bound=bound)
@@ -167,25 +147,6 @@ def _verify_series(args):
             report.record(n, t, ert[n], stats.excess_Ert(n, r, t))
             report.record(n, t, lam_prog[n], lam_mixed[n])
             report.record(n, t, difference[n], ert[n])
-    return report
-
-
-_VERIFIERS = {
-    "beck3": _verify_beck3,
-    "beck1": _verify_beck1,
-    "beck2": _verify_beck2,
-    "glaisher": _verify_glaisher,
-    "series": _verify_series,
-}
-_TAKES_T = ("beck3", "series")  # the identities checked per residue t
-
-
-def _render_element(x):
-    if isinstance(x, Partition):
-        return str(x)
-    if isinstance(x, (DecoratedPartition, RectanglePair)):
-        return x.text()
-    return str(x)
 
 
 def _element_json(x):
@@ -209,7 +170,7 @@ def _cmd_enumerate(args, out):
         print(json.dumps([_element_json(x) for x in stream]), file=out)
     else:
         for x in stream:
-            print(_render_element(x), file=out)
+            print(x, file=out)
     return 0
 
 
@@ -295,7 +256,7 @@ def _cmd_bijection(args, out):
     if args.format == "json":
         print(json.dumps(_element_json(result)), file=out)
     else:
-        print(_render_element(result), file=out)
+        print(result, file=out)
     return 0
 
 
@@ -312,12 +273,17 @@ def _cmd_series(args, out):
 
 def _cmd_verify(args, out):
     _check_n_max(args)
-    if args.t is not None and args.identity not in _TAKES_T:
+    series = args.identity == "series"
+    takes_t = series or any(per_t for per_t, _, _ in _IDENTITIES[args.identity])
+    if args.t is not None and not takes_t:
         raise ValueError(f"verify {args.identity} does not take --t")
-    if args.degree is not None and args.identity != "series":
+    if args.degree is not None and not series:
         raise ValueError(f"verify {args.identity} does not take --degree")
+    t_values = (args.t,) if args.t is not None else tuple(range(1, args.r)) if takes_t else ()
+    n_max = args.degree if args.degree is not None else args.n_max
+    report = VerificationReport(args.identity, args.r, n_max, t_values)
     start = time.perf_counter()
-    report = _VERIFIERS[args.identity](args)
+    (_check_series if series else _check_counts)(report)
     report.elapsed = time.perf_counter() - start
     print(report.render(args.format), file=out)
     return 0 if report.passed else 1
@@ -329,33 +295,34 @@ def build_parser():
         description="Exact verification toolkit for Beck-type partition identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, residue=True):
+    def common(p, formats, residue=True):
+        # formats: the --format values the subcommand honours
         p.add_argument("--r", type=int, required=True, help="modulus r >= 2")
         if residue:
             p.add_argument("--t", type=int, default=None, help="residue t in [1, r-1]")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("enumerate", help="list a family or pair set")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--pairset", choices=[s.value for s in PairSet])
 
     p = sub.add_parser("count", help="count a family or pair set")
-    common(p)
+    common(p, ("text", "json", "csv"))
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--pairset", choices=[s.value for s in PairSet])
 
     p = sub.add_parser("verify", help="check an identity over a grid and report")
-    p.add_argument("identity", choices=IDENTITIES)
-    common(p)
+    p.add_argument("identity", choices=(*_IDENTITIES, "series"))
+    common(p, ("text", "json", "csv"))
     p.add_argument("--n-max", type=int, dest="n_max", default=30)
     p.add_argument("--degree", type=int, default=None, help="series truncation degree")
 
     p = sub.add_parser("bijection", help="apply one of the constructive maps")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("--map", choices=MAPS, required=True)
     p.add_argument("--partition", required=True, help="comma-separated parts, ^ exponents allowed")
     p.add_argument("--mark-position", type=int, dest="mark_position")
@@ -366,11 +333,11 @@ def build_parser():
     p.add_argument("--inverse", action="store_true", help="apply the inverse direction")
 
     p = sub.add_parser("diagram", help="render the r-modular Ferrers diagram")
-    common(p, residue=False)
+    common(p, ("text",), residue=False)
     p.add_argument("--partition", required=True)
 
     p = sub.add_parser("series", help="dump generating-function coefficients")
-    common(p)
+    common(p, ("text",))
     p.add_argument("--gf", choices=qseries.GF_NAMES, required=True)
     p.add_argument("--degree", type=int, required=True)
 
@@ -399,6 +366,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

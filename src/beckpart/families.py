@@ -51,7 +51,7 @@ from .partitions import (
     Partition,
     RectanglePair,
     _check_modulus,
-    _check_residue,
+    _check_takes_t,
     _is_flat_list,
     _is_int,
 )
@@ -398,12 +398,7 @@ def _validate(n, tag, r, t, kind=Family):
     tag = kind(tag)
     if tag is not Family.ALL:
         _check_modulus(r)
-    if tag in _NEEDS_T:
-        if t is None:
-            raise ValueError(f"{tag.value!r} requires the residue t")
-        _check_residue(r, t)
-    elif t is not None:
-        raise ValueError(f"{tag.value!r} does not take a residue t")
+    _check_takes_t(repr(tag.value), r, t, tag in _NEEDS_T)
     return tag
 
 

@@ -34,6 +34,18 @@ def _check_residue(r, t):
         raise ValueError(f"residue t must lie in [1, {r - 1}], got {t!r}")
 
 
+def _check_takes_t(what, r, t, takes):
+    # takes: True if `what` requires the residue t, False if it refuses it,
+    # None if it accepts either
+    if t is None:
+        if takes:
+            raise ValueError(f"{what} requires the residue t")
+    elif takes is False:
+        raise ValueError(f"{what} does not take a residue t")
+    else:
+        _check_residue(r, t)
+
+
 def _is_flat_list(parts, r):
     # whether every gap of the non-increasing parts, the final part included, is below r
     return not parts or (parts[-1] < r and max(map(sub, parts, parts[1:]), default=0) < r)

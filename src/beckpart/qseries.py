@@ -11,7 +11,7 @@ statistic total, and the test suite checks the two sides against each other.
 
 from __future__ import annotations
 
-from .partitions import _check_modulus, _check_residue, _is_int
+from .partitions import _check_modulus, _check_takes_t, _is_int
 
 
 def _check_bound(bound):
@@ -194,7 +194,27 @@ def eta_quotient(r, bound):
     return TruncatedSeries(bound, c)
 
 
-LAMBERT_FAMILIES = ("multiples", "progression", "mixed", "repeat-excess")
+def _rk(k, r, t):
+    return r * k
+
+
+def _tk(k, r, t):
+    return t * k
+
+
+def _residue_k(k, r, t):  # the k-th positive integer congruent to t mod r
+    return r * (k - 1) + t
+
+
+# family -> (takes t, summands).  A summand (sign, first, step) adds
+# sign * q^first(k) / (1 - q^step(k)) for every k >= 1; first grows with k.
+_LAMBERT = {
+    "multiples": (False, ((1, _rk, _rk),)),
+    "progression": (True, ((1, _residue_k, _residue_k),)),
+    "mixed": (True, ((1, _tk, _rk),)),
+    "repeat-excess": (True, ((1, _tk, _rk), (-1, _rk, _rk))),
+}
+LAMBERT_FAMILIES = tuple(_LAMBERT)
 
 
 def lambert_sum(family, r, t=None, bound=0):
@@ -210,51 +230,34 @@ def lambert_sum(family, r, t=None, bound=0):
     """
     _check_bound(bound)
     _check_modulus(r)
-    if family not in LAMBERT_FAMILIES:
+    if family not in _LAMBERT:
         raise ValueError(f"unknown Lambert family {family!r}; expected one of {LAMBERT_FAMILIES}")
-    if family == "multiples":
-        if t is not None:
-            raise ValueError("'multiples' does not take a residue t")
-    else:
-        if t is None:
-            raise ValueError(f"Lambert family {family!r} requires the residue t")
-        _check_residue(r, t)
-
+    takes_t, summands = _LAMBERT[family]
+    _check_takes_t(f"Lambert family {family!r}", r, t, takes_t)
     c = [0] * (bound + 1)
-    if family == "multiples":
-        for base in range(r, bound + 1, r):
-            for e in range(base, bound + 1, base):
-                c[e] += 1
-    elif family == "progression":
-        base = t
-        while base <= bound:
-            for e in range(base, bound + 1, base):
-                c[e] += 1
-            base += r
-    elif family == "mixed":
-        m = 1
-        while m * t <= bound:
-            for e in range(m * t, bound + 1, m * r):
-                c[e] += 1
-            m += 1
-    else:  # repeat-excess
-        n = 1
-        while min(t, r) * n <= bound:
-            if t * n <= bound:
-                for e in range(t * n, bound + 1, r * n):
-                    c[e] += 1
-            if r * n <= bound:
-                for e in range(r * n, bound + 1, r * n):
-                    c[e] -= 1
-            n += 1
+    for sign, first, step in summands:
+        k = 1
+        while first(k, r, t) <= bound:
+            for e in range(first(k, r, t), bound + 1, step(k, r, t)):
+                c[e] += sign
+            k += 1
     return TruncatedSeries(bound, c)
 
 
-GF_NAMES = ("O_r", "O_1r", "parts_t_in_Or", "repeats_t_in_Dr", "E_rt")
+# name -> (its Lambert factor, or None for the eta quotient alone; whether it
+# requires t (True), refuses it (False) or accepts either (None))
+_GF = {
+    "O_r": (None, False),
+    "O_1r": ("multiples", False),
+    "parts_t_in_Or": ("progression", True),
+    "repeats_t_in_Dr": ("repeat-excess", True),
+    "E_rt": ("multiples", None),  # the closed form is the same for every t
+}
+GF_NAMES = tuple(_GF)
 
 
 def gf(name, r, t=None, bound=0):
-    """Named generating functions, assembled from the eta quotient and Lambert sums.
+    """Named generating functions: the eta quotient, times a Lambert sum but for ``O_r``.
 
     * ``O_r``             : counts of r-regular partitions;
     * ``O_1r``            : counts of one-divisible-value partitions
@@ -263,24 +266,16 @@ def gf(name, r, t=None, bound=0):
     * ``repeats_t_in_Dr`` : total t-fold repeated values over the bounded family;
     * ``E_rt``            : their difference in closed form
                             (eta quotient times the 'multiples' Lambert sum);
-                            the same series for every t.
+                            the same series for every t, so t is optional.
+
+    ``O_r`` and ``O_1r`` refuse t; the other two require it.
     """
-    if name not in GF_NAMES:
+    if name not in _GF:
         raise ValueError(f"unknown generating function {name!r}; expected one of {GF_NAMES}")
     _check_modulus(r)
-    needs_t = name in ("parts_t_in_Or", "repeats_t_in_Dr")
-    if needs_t and t is None:
-        raise ValueError(f"generating function {name!r} requires the residue t")
-    if t is not None:
-        _check_residue(r, t)
-
-    if name == "O_r":
-        return eta_quotient(r, bound)
-    if name == "O_1r":
-        return eta_quotient(r, bound) * lambert_sum("multiples", r, bound=bound)
-    if name == "parts_t_in_Or":
-        return eta_quotient(r, bound) * lambert_sum("progression", r, t, bound)
-    if name == "repeats_t_in_Dr":
-        return eta_quotient(r, bound) * lambert_sum("repeat-excess", r, t, bound)
-    # E_rt: the closed form is independent of t
-    return eta_quotient(r, bound) * lambert_sum("multiples", r, bound=bound)
+    factor, takes_t = _GF[name]
+    _check_takes_t(f"generating function {name!r}", r, t, takes_t)
+    eta = eta_quotient(r, bound)
+    if factor is None:
+        return eta
+    return eta * lambert_sum(factor, r, t if _LAMBERT[factor][0] else None, bound)

@@ -1,6 +1,11 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +111,27 @@ class TestBijectionCommand:
         assert code == 0 and out.strip() == "5,2,1"
 
 
+class TestFormats:
+    # the --format values each subcommand honours; any other exits 2
+    FORMATS = [
+        ("verify beck2 --r 2 --n-max 2", ("text", "json", "csv")),
+        ("count --family Or --r 2 --n 3", ("text", "json", "csv")),
+        ("enumerate --family Or --r 2 --n 5", ("text", "json")),
+        ("bijection --map phi --r 5 --partition 27,24,20,15,13,10,6,5,2", ("text", "json")),
+        ("diagram --r 4 --partition 10,7", ("text",)),
+        ("series --gf O_r --r 3 --degree 3", ("text",)),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("argv, honoured", FORMATS)
+    def test_format_per_subcommand(self, capsys, argv, honoured, fmt):
+        code, out, err = run(capsys, *argv.split(), "--format", fmt)
+        if fmt in honoured:
+            assert code == 0 and out
+        else:
+            assert code == 2 and out == "" and "--format" in err
+
+
 class TestCountAndEnumerate:
     def test_count_fixture(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "O1r", "--r", "2", "--n", "5")
@@ -181,6 +207,16 @@ class TestDiagramAndSeries:
         code, _, err = run(capsys, "verify", "series", "--r", "3", "--degree", "-1")
         assert code == 2 and "degree" in err
 
+    def test_series_t_only_where_it_has_meaning(self, capsys):
+        for name in ("O_r", "O_1r"):
+            code, out, err = run(
+                capsys, "series", "--gf", name, "--r", "3", "--t", "2", "--degree", "5")
+            assert code == 2 and out == "" and "residue t" in err, name
+        code, out, _ = run(capsys, "series", "--gf", "E_rt", "--r", "3", "--t", "2",
+                           "--degree", "5")
+        assert code == 0
+        assert run(capsys, "series", "--gf", "E_rt", "--r", "3", "--degree", "5")[1] == out
+
     def test_series_ert_needs_degree(self, capsys):
         code, _, _ = run(capsys, "series", "--gf", "E_rt", "--r", "3")
         assert code == 2
@@ -247,6 +283,51 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "series", "--r", "3", "--t", "1", "--degree", "4")
         assert code == 0 and "pass" in out
 
+    # sha256 prefix of each csv report at --n-max 10: pins the order of points
+    REPORT_DIGESTS = [
+        ("beck3 --r 2", "13effec7bc43dd4e"),
+        ("beck3 --r 2 --t 1", "13effec7bc43dd4e"),
+        ("beck3 --r 3", "c9e865725de131b8"),
+        ("beck3 --r 3 --t 1", "0e2c7b00012a52c7"),
+        ("beck3 --r 4", "0418fee5e7cf8b95"),
+        ("beck3 --r 4 --t 1", "389acfc875cb1adf"),
+        ("beck1 --r 2", "1220ab5525ee4ec4"),
+        ("beck1 --r 3", "1b41bf5338b6cd7c"),
+        ("beck1 --r 4", "7e8c77d6a64f87be"),
+        ("beck2 --r 2", "0a07428165512bd2"),
+        ("beck2 --r 3", "1345724089419d12"),
+        ("beck2 --r 4", "f5758be85de6cce8"),
+        ("glaisher --r 2", "c61722bddea45149"),
+        ("glaisher --r 3", "b33ef8f236aac835"),
+        ("glaisher --r 4", "c3d1c43c1dacdfdb"),
+        ("series --r 2", "fdda4b7db40ad676"),
+        ("series --r 2 --t 1", "fdda4b7db40ad676"),
+        ("series --r 3", "2e0634a5bab84ef5"),
+        ("series --r 3 --t 1", "40ed7da3a5438c6d"),
+        ("series --r 4", "311c2fd115ac00e9"),
+        ("series --r 4 --t 1", "ea271625553d0b5f"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+    def test_report_point_order(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "verify", *argv.split(), "--n-max", "10", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_usage_error_exits_two(self, capsys):
         assert run(capsys, "verify", "nonsense", "--r", "2")[0] == 2
         assert run(capsys, "count", "--family", "Or", "--n", "4")[0] == 2  # missing --r
+
+
+class TestModuleEntry:
+    # `python -m beckpart` exits with main()'s return code
+    @pytest.mark.parametrize("argv, code", [
+        ("verify beck2 --r 2 --n-max 3", 0),
+        ("verify nonsense --r 2", 2),
+    ])
+    def test_exit_code(self, argv, code):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-m", "beckpart", *argv.split()], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr

@@ -253,6 +253,11 @@ class TestNamedSeries:
         with pytest.raises(ValueError):
             gf("parts_t_in_Or", 3, None, 10)
 
+    @pytest.mark.parametrize("name", ["O_r", "O_1r"])
+    def test_refuses_t_without_meaning(self, name):
+        with pytest.raises(ValueError, match="does not take a residue t"):
+            gf(name, 3, 1, 5)
+
     @pytest.mark.parametrize("r", range(2, 7))
     def test_every_name_matches_oracle_assembly(self, r):
         for name in GF_NAMES:
