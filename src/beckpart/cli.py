@@ -40,6 +40,8 @@ _BIJECTIONS = {
 }
 MAPS = tuple(_BIJECTIONS)
 
+_DEFAULT_N_MAX = 30  # verify's --n-max when neither it nor --degree is given
+
 
 @dataclass
 class VerificationReport:
@@ -240,13 +242,9 @@ def _cmd_bijection(args, out):
     else:
         obj = _decorated_input(args)
 
-    apply = inverse if args.inverse else forward
-    if not needs_t:
-        result = apply(obj, args.r)
-    elif args.t is None:
+    if needs_t and args.t is None:
         raise ValueError(f"map {args.map!r} requires --t")
-    else:
-        result = apply(obj, args.r, args.t)
+    result = (inverse if args.inverse else forward)(obj, args.r, args.t)
 
     if isinstance(result, bijections.XiTrace):
         if args.trace:
@@ -279,8 +277,11 @@ def _cmd_verify(args, out):
         raise ValueError(f"verify {args.identity} does not take --t")
     if args.degree is not None and not series:
         raise ValueError(f"verify {args.identity} does not take --degree")
+    if args.degree is not None and args.n_max is not None:
+        raise ValueError("--n-max is not used: --degree sets the bound of verify series")
     t_values = (args.t,) if args.t is not None else tuple(range(1, args.r)) if takes_t else ()
-    n_max = args.degree if args.degree is not None else args.n_max
+    n_max = args.degree if args.degree is not None else (
+        _DEFAULT_N_MAX if args.n_max is None else args.n_max)
     report = VerificationReport(args.identity, args.r, n_max, t_values)
     start = time.perf_counter()
     (_check_series if series else _check_counts)(report)
@@ -318,7 +319,8 @@ def build_parser():
     p = sub.add_parser("verify", help="check an identity over a grid and report")
     p.add_argument("identity", choices=(*_IDENTITIES, "series"))
     common(p, ("text", "json", "csv"))
-    p.add_argument("--n-max", type=int, dest="n_max", default=30)
+    p.add_argument("--n-max", type=int, dest="n_max", default=None,
+                   help=f"largest n checked (default {_DEFAULT_N_MAX})")
     p.add_argument("--degree", type=int, default=None, help="series truncation degree")
 
     p = sub.add_parser("bijection", help="apply one of the constructive maps")

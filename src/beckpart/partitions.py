@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, lt, sub
 
 
 def _is_int(x):
@@ -49,6 +50,15 @@ def _check_takes_t(what, r, t, takes):
 def _is_flat_list(parts, r):
     # whether every gap of the non-increasing parts, the final part included, is below r
     return not parts or (parts[-1] < r and max(map(sub, parts, parts[1:]), default=0) < r)
+
+
+def _conjugate(parts):
+    # The conjugate of the non-increasing parts, as a list.  Its entry j is
+    # the number of parts >= j: the multiplicities of the values >= j summed.
+    if not parts:
+        return []
+    mult = Counter(parts)
+    return list(accumulate(map(mult.get, range(parts[0], 0, -1), repeat(0))))[::-1]
 
 
 class Partition(tuple):
@@ -127,35 +137,27 @@ class Partition(tuple):
     def union(self, other):
         """Multiset union: all parts of both, re-sorted."""
         other = other if isinstance(other, Partition) else Partition(other)
-        return Partition.from_multiset(list(self) + list(other))
+        return Partition._make(sorted([*self, *other], reverse=True))
 
     def __add__(self, other):
         """Componentwise sum, the shorter operand zero-padded."""
         other = other if isinstance(other, Partition) else Partition(other)
-        k = max(len(self), len(other))
-        return Partition._make(
-            [self.part_at(i) + other.part_at(i) for i in range(1, k + 1)]
-        )
+        k = min(len(self), len(other))
+        return Partition._make([*map(add, self, other), *self[k:], *other[k:]])
 
     def __sub__(self, other):
         """Componentwise difference; defined only when the result is a partition."""
         other = other if isinstance(other, Partition) else Partition(other)
         if len(other) > len(self):
             raise ValueError(f"cannot subtract: {other} is longer than {self}")
-        diffs = []
-        for i in range(1, len(self) + 1):
-            d = self.part_at(i) - other.part_at(i)
-            if d < 0:
-                raise ValueError(
-                    f"cannot subtract: part {other.part_at(i)} exceeds {self.part_at(i)}"
-                )
-            diffs.append(d)
-        for i in range(len(diffs) - 1):
-            if diffs[i] < diffs[i + 1]:
-                raise ValueError(f"difference {tuple(diffs)} is not a partition")
-        while diffs and diffs[-1] == 0:
-            diffs.pop()
-        return Partition._make(diffs)
+        diffs = [*map(sub, self, other), *self[len(other):]]
+        if min(diffs, default=0) < 0:
+            i = next(i for i, d in enumerate(diffs) if d < 0)
+            raise ValueError(f"cannot subtract: part {other[i]} exceeds {self[i]}")
+        if any(map(lt, diffs, diffs[1:])):
+            raise ValueError(f"difference {tuple(diffs)} is not a partition")
+        # non-negative and non-increasing, so the zeros are a suffix
+        return Partition._make(diffs[:len(diffs) - diffs.count(0)])
 
     def scale(self, k):
         """Multiply every part by a positive integer k."""
@@ -165,13 +167,7 @@ class Partition(tuple):
 
     def conjugate(self):
         """Transpose of the Ferrers diagram: entry j counts parts >= j."""
-        # Columns in (lam_{k+1}, lam_k] hold exactly k parts.
-        cols = []
-        below = 0
-        for k in range(len(self), 0, -1):
-            cols += [k] * (self[k - 1] - below)
-            below = self[k - 1]
-        return Partition._make(cols)
+        return Partition._make(_conjugate(self))
 
     # -- membership predicates used by the family machinery ----------------
 

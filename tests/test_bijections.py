@@ -6,6 +6,7 @@ at module level (trace invariants, the tabulated-inverse cross-check,
 removal-order independence).
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -44,14 +45,16 @@ from beckpart import (
     zeta_forward,
     zeta_inverse,
 )
+from beckpart import bijections
 from beckpart.bijections import (
+    _TRACE_FIELDS,
     BijectionError,
     ConstructionError,
     _as_partition,
     _is_flat_list,
     _locked_split,
 )
-from beckpart.partitions import MARK, OVERLINE, _check_modulus
+from beckpart.partitions import MARK, OVERLINE, _check_modulus, rectangle
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +116,42 @@ class TestXiFixtures:
 
     def test_empty(self):
         assert xi_forward(Partition(), 5).output == Partition()
+
+
+class TestXiTracePinned:
+    # sha256 of repr(as_dict()) of every trace below, taken in enumeration
+    # order from the eagerly built trace that the lazy one replaced
+    DIGEST = "0392f4e516f7e44a3b2ae5ab3e712fcff1868d98c04d199220b32f2009e9b1c0"
+
+    @staticmethod
+    def grid():
+        for r in range(2, 6):
+            for n in range(0, 19):
+                for lam in enumerate_family(n, Family.F_R, r):
+                    yield lam, r
+
+    def test_trace_digest(self):
+        h = hashlib.sha256()
+        for lam, r in self.grid():
+            h.update(repr(xi_forward(lam, r).as_dict()).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_fields_do_not_depend_on_read_order(self):
+        rng = random.Random(18)
+        names = list(_TRACE_FIELDS)
+        for lam, r in self.grid():
+            rng.shuffle(names)
+            tr = xi_forward(lam, r)
+            first = {name: getattr(tr, name) for name in names}
+            assert all(getattr(tr, name) is first[name] for name in names)
+            assert {name: list(v) for name, v in first.items()} == xi_forward(lam, r).as_dict()
+
+    def test_fields_are_read_only(self):
+        tr = xi_forward(Partition((5, 3, 1)), 3)
+        for name in _TRACE_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(tr, name, Partition())
+        assert tr.output == Partition((5, 4))
 
 
 class TestXiSuiteSmall:
@@ -249,6 +288,31 @@ class TestPostconditions:
         assert out[1].startswith("xi_forward: image (1) has size 1, not 3")
         assert out[2].startswith("phi_forward: phi image is not in O_1r")
         assert len(out) == 3
+
+
+_DIVERGENT_KERNEL = """
+    from beckpart import Partition, bijections
+
+    print("debug", __debug__)
+    # a kernel that maps every input as if it were all ones: each run passes
+    # its own postconditions, but xi no longer inverts xi_inverse
+    kernel = bijections._xi_kernel
+    bijections._xi_kernel = lambda lam, r: kernel(Partition((1,) * sum(lam)), r)
+    try:
+        bijections.xi_inverse(Partition((5, 4)), 3)
+    except bijections.ConstructionError as exc:
+        print("xi_inverse:", exc)
+"""
+
+
+class TestCertification:
+    def test_xi_inverse_certifies_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beckpart.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(_DIVERGENT_KERNEL)],
+            env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out == ["debug False", "xi_inverse: no preimage of (5,4) under xi at r = 3"]
 
 
 def _all_split_fixpoints(lam, r):
@@ -468,6 +532,28 @@ def test_maps_take_exactly_their_domain(r):
                             f(x, *args)
 
 
+MAP_NAMES = ("xi", "phi", "psi1", "psi2", "psi_o", "psi_d", "psi_t", "zeta")
+MAPS = [getattr(bijections, f"{name}_{direction}")
+        for name in MAP_NAMES for direction in ("forward", "inverse")]
+
+
+@pytest.mark.parametrize("f", MAPS, ids=lambda f: f.__name__)
+def test_maps_check_the_residue_rule(f):
+    # psi1 and psi2 require t; every other map refuses one.  The rule is
+    # checked before the input, so any input will do.
+    x = Partition((2, 1))
+    if f.__name__.startswith(("psi1", "psi2")):
+        with pytest.raises(ValueError, match="requires the residue t"):
+            f(x, 3)
+        with pytest.raises(ValueError, match="residue t must lie in"):
+            f(x, 3, 3)
+    else:
+        with pytest.raises(ValueError, match="does not take a residue t"):
+            f(x, 3, 1)
+    with pytest.raises(ValueError, match="modulus r"):
+        f(x, 1)
+
+
 class TestZeta:
     def test_trivial_fixture(self):
         pair = zeta_forward(RectanglePair(Partition((2,)), 1, 1), 3)
@@ -496,3 +582,95 @@ class TestZeta:
             zeta_forward(RectanglePair(Partition((1,)), 1, 1), 3)  # gap != r-1
         with pytest.raises(BijectionError):
             zeta_inverse(RectanglePair(Partition((1,)), 1, 2), 3)  # height not divisible
+
+
+def _gap(lam, i):
+    return lam.part_at(i) - lam.part_at(i + 1)
+
+
+def _overline_random_value(rng, lam):
+    # an overline on the last occurrence of a random value of lam
+    value = rng.choice(lam)
+    return DecoratedPartition(lam, OVERLINE, len(lam) - lam[::-1].index(value))
+
+
+def forward_input(rng, name, r, t, length):
+    """A random member of the forward domain of map ``name``, built on r-flat
+    partitions of the given length."""
+    while True:
+        flat = random_flat(rng, r, length)
+        regular = Partition([p + 1 if p % r == 0 else p for p in flat])
+        if name == "xi":
+            return flat
+        if name == "phi" or name == "psi1" and rng.random() < 0.5:
+            # lifting the first i parts by a multiple of r makes gap i the only steep one
+            return flat + rectangle(r * rng.randint(1, 2), rng.randint(1, length))
+        if name == "psi1":
+            spots = [i for i in range(1, length + 1) if _gap(flat, i) >= t]
+            if spots:
+                return DecoratedPartition(flat, OVERLINE, rng.choice(spots))
+        elif name == "psi2":
+            spots = [i for i, p in enumerate(regular, start=1) if p % r == t]
+            if spots:
+                return DecoratedPartition(regular, MARK, rng.choice(spots))
+        elif name == "psi_o":
+            return _overline_random_value(rng, regular)
+        elif name == "psi_d":
+            return _overline_random_value(rng, flat.conjugate())
+        elif name == "psi_t":
+            bounded = flat.conjugate()
+            return bounded.union(rectangle(rng.choice(bounded), r))
+        elif name == "zeta":
+            spots = [j for j in range(1, length + 1) if _gap(flat, j) == r - 1]
+            if spots:
+                return RectanglePair(flat, 1, rng.choice(spots))
+
+
+def inverse_input(rng, name, r, t, length):
+    """A random member of the forward image of map ``name``, built on r-flat
+    partitions of the given length."""
+    while True:
+        flat = random_flat(rng, r, length)
+        regular = Partition([p + 1 if p % r == 0 else p for p in flat])
+        if name == "xi":
+            return regular
+        if name == "phi":
+            return regular.union(rectangle(r * rng.randint(1, 3), rng.randint(1, 4)))
+        if name in ("psi1", "psi2"):
+            return RectanglePair(flat, t + r * rng.randint(0, 2), rng.randint(1, 5))
+        if name == "psi_o":
+            return RectanglePair(flat, 1, rng.choice([i for i in range(1, 3 * r) if i % r]))
+        gap_ok = {"psi_d": lambda g: g < r - 1, "psi_t": lambda g: g > 0,
+                  "zeta": lambda g: g == 0}[name]
+        spots = [j for j in range(1, length + 2) if gap_ok(_gap(flat, j))]
+        if spots:
+            j = rng.choice(spots)
+            return RectanglePair(flat, 1, j if name == "psi_d" else r * j)
+
+
+def _apply(name, direction, x, r, t):
+    f = getattr(bijections, f"{name}_{direction}")
+    y = f(x, r, t) if name in ("psi1", "psi2") else f(x, r)
+    return y.output if isinstance(y, bijections.XiTrace) else y
+
+
+class TestMapsAtScale:
+    """Every map in both directions at lengths past the exhaustive grids."""
+
+    @pytest.mark.parametrize("name", MAP_NAMES)
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 7), st.integers(100, 400), st.randoms(use_true_random=False))
+    def test_forward_then_inverse(self, name, r, length, rng):
+        t = rng.randint(1, r - 1)
+        x = forward_input(rng, name, r, t, length)
+        y = _apply(name, "forward", x, r, t)
+        assert y.size == x.size and _apply(name, "inverse", y, r, t) == x
+
+    @pytest.mark.parametrize("name", MAP_NAMES)
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 7), st.integers(100, 400), st.randoms(use_true_random=False))
+    def test_inverse_then_forward(self, name, r, length, rng):
+        t = rng.randint(1, r - 1)
+        y = inverse_input(rng, name, r, t, length)
+        x = _apply(name, "inverse", y, r, t)
+        assert x.size == y.size and _apply(name, "forward", x, r, t) == y

@@ -97,6 +97,7 @@ class TestBijectionCommand:
         ("--rect-part", "bijection --map psi-o --r 5 --partition 32,24,23,16,16,12"
                         " --overline-position 5 --rect-part 2"),
         ("--t", "diagram --r 4 --partition 10,7 --t 1"),
+        ("--n-max", "verify series --r 3 --n-max 5 --degree 7"),
     ]
 
     @pytest.mark.parametrize("flag, argv", IGNORED_FLAGS)
