@@ -120,33 +120,51 @@ _IDENTITIES = {
 }
 
 
+def _largest_first(n_max, row):
+    # row(n) for n = 0..n_max, worked out from n_max down: a count table
+    # holds every n up to its size, so asking for the largest n first builds
+    # one table per family for the whole sweep
+    return reversed([row(n) for n in range(n_max, -1, -1)])
+
+
 def _check_counts(report):
     r = report.r
-    for n in range(report.n_max + 1):
-        for per_t, lhs, rhs in _IDENTITIES[report.identity]:
-            for t in report.t_values if per_t else (None,):
-                report.record(n, t, lhs(n, r, t), rhs(n, r, t))
+
+    def row(n):
+        return [(t, lhs(n, r, t), rhs(n, r, t))
+                for per_t, lhs, rhs in _IDENTITIES[report.identity]
+                for t in (report.t_values if per_t else (None,))]
+
+    for n, points in enumerate(_largest_first(report.n_max, row)):
+        for point in points:
+            report.record(n, *point)
 
 
 def _check_series(report):
     # each series is built once per t, so the points run t-outer
     r, bound = report.r, report.n_max
-    eta = qseries.gf("O_r", r, bound=bound)
-    o1 = qseries.gf("O_1r", r, bound=bound)
-    ert = qseries.gf("E_rt", r, bound=bound)
-    for n in range(bound + 1):
-        report.record(n, None, eta[n], families.count(n, Family.O_R, r))
-        report.record(n, None, o1[n], families.count(n, Family.O_1R, r))
+    eta = qseries.gf("O_r", r, bound=bound).coeffs
+    o1 = qseries.gf("O_1r", r, bound=bound).coeffs
+    ert = qseries.gf("E_rt", r, bound=bound).coeffs
+    counts = _largest_first(bound, lambda n: (families.count(n, Family.O_R, r),
+                                              families.count(n, Family.O_1R, r)))
+    for n, (regular, one) in enumerate(counts):
+        report.record(n, None, eta[n], regular)
+        report.record(n, None, o1[n], one)
     for t in report.t_values:
         parts = qseries.gf("parts_t_in_Or", r, t, bound)
         repeats = qseries.gf("repeats_t_in_Dr", r, t, bound)
-        lam_prog = qseries.lambert_sum("progression", r, t, bound)
-        lam_mixed = qseries.lambert_sum("mixed", r, t, bound)
-        difference = parts - repeats
-        for n in range(bound + 1):
-            report.record(n, t, parts[n], stats.total_residue_parts(n, r, t))
-            report.record(n, t, repeats[n], stats.total_repeated_values(n, r, t))
-            report.record(n, t, ert[n], stats.excess_Ert(n, r, t))
+        lam_prog = qseries.lambert_sum("progression", r, t, bound).coeffs
+        lam_mixed = qseries.lambert_sum("mixed", r, t, bound).coeffs
+        difference = (parts - repeats).coeffs
+        parts, repeats = parts.coeffs, repeats.coeffs
+        totals = _largest_first(bound, lambda n: (stats.total_residue_parts(n, r, t),
+                                                  stats.total_repeated_values(n, r, t),
+                                                  stats.excess_Ert(n, r, t)))
+        for n, (residue, repeated, excess) in enumerate(totals):
+            report.record(n, t, parts[n], residue)
+            report.record(n, t, repeats[n], repeated)
+            report.record(n, t, ert[n], excess)
             report.record(n, t, lam_prog[n], lam_mixed[n])
             report.record(n, t, difference[n], ert[n])
 
@@ -187,14 +205,13 @@ def _cmd_count(args, out):
     if (args.n is None) == (args.n_max is None):
         raise ValueError("count needs exactly one of --n / --n-max")
     _check_n_max(args)
-    ns = [args.n] if args.n_max is None else list(range(args.n_max + 1))
-    rows = []
-    for n in ns:
+
+    def row(n):
         if args.family is not None:
-            c = families.count(n, Family(args.family), args.r, args.t)
-        else:
-            c = families.count_pairs(n, PairSet(args.pairset), args.r, args.t)
-        rows.append((n, c))
+            return n, families.count(n, Family(args.family), args.r, args.t)
+        return n, families.count_pairs(n, PairSet(args.pairset), args.r, args.t)
+
+    rows = [row(args.n)] if args.n_max is None else list(_largest_first(args.n_max, row))
     if args.format == "json":
         print(json.dumps({str(n): c for n, c in rows}), file=out)
     elif args.format == "csv":

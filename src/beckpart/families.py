@@ -18,9 +18,11 @@ values descending, in which each run is checked by one rule and the family
 allows none or exactly one violation of it.  The spec is read four ways.
 The lister and the membership test walk it run by run.  Counts and
 statistic totals read it through a largest-value recurrence: each value m,
-from the largest down, is skipped or taken c times, and one table per size
-serves every n up to that size.  Counts are never listings and never come
-from ``qseries``.
+from the largest down, is skipped or taken c times.  Its table keeps one
+integer per statistic with one block of bits per size k, so a run of m is
+one shift of each integer.  One table per family is kept, the largest
+built, and serves every n up to its size; n past ``COUNT_LIMIT`` is
+refused.  Counts are never listings and never come from ``qseries``.
 
 Every decorated family and every pair set is one table entry as well: a
 base family with a rule for the positions that may carry the decoration,
@@ -41,8 +43,9 @@ from collections import namedtuple
 from copy import copy
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat, tee
-from operator import add, and_, mul
+from itertools import tee
+from math import isqrt
+from operator import add
 
 from .partitions import (
     DecoratedPartition,
@@ -116,11 +119,28 @@ _SPEC = {
 # gap a run of value m would make, capped at r, and 0 before the first run;
 # a skip widens it by one and a run resets it to 1.  Only the gap rule reads
 # the previous value, so every other rule keeps g = 0 and its states
-# collapse.  A table holds one array over k = 0..size per (used, g) and is
-# built by a loop over m = 1..size in which every run is one shifted add of
-# a whole array: O(size^2 log size) additions and no recursion.  Sizes are
-# powers of two, so a sweep over n = 0..N builds a few tables, not N.
+# collapse.
+#
+# A table of a given size keeps, per (used, g), one integer per statistic
+# slot (a count table has the one slot of the count).  The value at
+# k = 0..size sits in the width-bit block at bit (size - k) * width, so
+# taking c copies of m, which moves every value from k to k + m*c, is one
+# right shift that drops whatever passes size.  The table is built by a
+# loop over m = 1..size that adds each run (m, c), longest first, as one
+# shift and one add per slot: about size * ln(size) runs per state and
+# slot, each over at most size * width bits, and no recursion.  One holder
+# per (rule, violations, r, totals) keeps the largest table built.  Sizes
+# are powers of two from 16 up and a table serves every n up to its size,
+# so a sweep that asks for its largest n first builds one table per family.
 # ---------------------------------------------------------------------------
+
+# The largest n counted.  The costliest table a count builds at r <= 7, the
+# flat totals behind Fbar at r = 7, took 3.4 s and 31 MiB at size 2048 and
+# 18 s and 60 MiB at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
+# refused before any table is built.  A table's cost also grows with r: the
+# gap rule has r + 1 states and a totals table 3r + 3 slots.
+COUNT_LIMIT = 2048
+
 
 def _size(n):
     # the size of the table that holds n: the least power of two >= n, and
@@ -129,70 +149,107 @@ def _size(n):
 
 
 @lru_cache(maxsize=None)
-def _table(size, rule, viol, r, totals):
-    # Per (used, g), the completions of the states (k, m = size, used, g)
-    # for k = 0..size: their number, or with totals their statistic sums
-    # packed in one integer, slot j at bit j * width.  The slots are count,
-    # parts, distinct values, then r-slots of parts by residue and of runs
-    # by min(c, r-1), and for the gap rule one of gaps (final part
-    # included) by min(gap, r-1).
+def _held(rule, viol, r, totals):
+    # the largest table built for the spec so far, as [size, width, states]
+    return [-1, 0, None]
+
+
+def _table(n, rule, viol, r, totals):
+    # (size, width, states) of a table that holds n; a larger one replaces
+    # the held table only once it is built
+    held = _held(rule, viol, r, totals)
+    if n > held[0]:
+        if n > COUNT_LIMIT:
+            raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
+        size = _size(n)
+        width = _width(size, rule, totals)
+        held[:] = size, width, _build(size, rule, viol, r, totals, width)
+    return held
+
+
+def _read(n, rule, viol, r, totals):
+    # the slots of the completions of the state (k = n, m = size, 0, 0)
+    size, width, states = _table(n, rule, viol, r, totals)
+    shift, mask = (size - n) * width, (1 << width) - 1
+    return [x >> shift & mask for x in states[0]]
+
+
+def _width(size, rule, totals):
+    # Bits per block.  A state with k left has at most p(k) completions, and
+    # each adds at most k + 1 to a statistic, so no block carries into the
+    # next.  The plain count table, which gives p, is sized by the bound
+    # p(k) < e^(pi sqrt(2k/3)) (Apostol, Introduction to Analytic Number
+    # Theory, Thm 14.5), a bit length of at most 3.71 sqrt(k) + 1, which
+    # 4 isqrt(k) + 4 > 4 sqrt(k) covers for k >= 12 (the tests check every
+    # k <= 4096).
+    if rule == "none" and not totals:
+        return 4 * isqrt(size) + 4
+    p = _read(size, "none", 0, None, False)[0]
+    return ((size + 1) * p if totals else p).bit_length()
+
+
+def _build(size, rule, viol, r, totals, width):
+    # Per (used, g), the slots of the completions of the states (k, m = size,
+    # used, g) for k = 0..size.  The totals slots are count, parts, distinct
+    # values, then r-slots of parts by residue and of runs by min(c, r-1),
+    # and for the gap rule one of gaps (final part included) by
+    # min(gap, r-1).
     breaks = _RULES[rule]
     gs = range(r + 1) if rule == "gap" else range(1)  # the values g may take
     states = [(u, g) for u in range(viol + 1) for g in gs]
     skips = [u * len(gs) + (g and min(g + 1, r)) for u, g in states]
-    width = _width(size) if totals else 0
-
-    def slot(j):
-        return 1 << j * width
-
-    def gap(g):
-        return slot(3 + 2 * r + min(g, r - 1))
-
-    def times(entries, weight):
-        # each entry's count times the weight
-        return map(mul, map(and_, entries, repeat(slot(1) - 1)), repeat(weight))
+    slots = 3 + (3 if rule == "gap" else 2) * r if totals else 1
 
     def closes(u, g):
-        # the walk stops at m = 0, and g is then the final part
-        if u + breaks(r, g, 0, 0) != viol:
-            return 0
-        return 1 + gap(g) if totals and g else 1
+        # the walk stops at m = 0 with k = 0, and g is then the final part
+        out = [0] * slots
+        if u + breaks(r, g, 0, 0) == viol:
+            out[0] = 1 << size * width
+            if totals and g:
+                out[3 + 2 * r + min(g, r - 1)] = out[0]
+        return out
 
-    table = [[closes(u, g)] + [0] * size for u, g in states]
+    table = [closes(u, g) for u, g in states]
+    after = len(gs) > 1  # the g after a run: the gap to the value below m is 1
     for m in range(1, size + 1):
+        longest = range(size // m, 0, -1)  # the runs of m, longest first
         # carried gaps that see every run of m alike share one sum of runs
         groups = {}
         for g in gs:
-            seen = tuple(breaks(r, g and m + g, m, c) for c in range(1, size // m + 1))
+            seen = tuple([breaks(r, g and m + g, m, c) for c in longest])
             groups.setdefault(seen, []).append(g)
         new = [table[t] for t in skips]
         for seen, group in groups.items():
             for u in range(viol + 1):
-                runs = [0] * (size + 1)
-                for c, b in enumerate(seen, 1):
-                    if u + b > viol:
-                        continue
-                    # after the run, the gap to the value below m is 1
-                    child = table[(u + b) * len(gs) + (len(gs) > 1)]
-                    if totals:  # each completion gains the run's statistics
-                        child = map(add, child, times(child, c * slot(1) + slot(2)
-                                                      + c * slot(3 + m % r)
-                                                      + slot(3 + r + min(c, r - 1))))
-                    runs[m * c:] = map(add, runs[m * c:], child)
+                if not totals:
+                    runs = [sum([table[(u + b) * len(gs) + after][0] >> m * c * width
+                                 for c, b in zip(longest, seen) if u + b <= viol])]
+                else:
+                    runs = [0] * slots
+                    parts = 0  # the sum of c times the runs of c: runs[0] summed after each c
+                    for c, b in zip(longest, seen):
+                        if u + b <= viol:
+                            shift = m * c * width
+                            moved = [x >> shift for x in table[(u + b) * len(gs) + after]]
+                            runs = list(map(add, runs, moved))
+                            if c < r - 1:
+                                runs[3 + r + c] += moved[0]
+                        parts += runs[0]
+                        if c == r - 1:  # every run of r - 1 or more
+                            runs[3 + r + c] += runs[0]
+                    # each completion gains the run's statistics
+                    runs[1] += parts
+                    runs[2] += runs[0]
+                    runs[3 + m % r] += parts
+                if not runs[0]:
+                    continue
                 for g in group:
                     s = u * len(gs) + g
                     new[s] = list(map(add, new[s], runs))
                     if totals and g:  # and the gap from the value above m
-                        new[s] = list(map(add, new[s], times(runs, gap(g))))
+                        new[s][3 + 2 * r + min(g, r - 1)] += runs[0]
         table = new
     return table
-
-
-def _width(size):
-    # Bits per statistic slot.  A state with k left has at most p(k)
-    # completions, and each adds at most k + 1 to a slot, so no slot of a
-    # table of this size carries into the next.
-    return ((size + 1) * _table(size, "none", 0, None, False)[0][size]).bit_length()
 
 
 _Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
@@ -209,10 +266,7 @@ def _totals(n, family, r):
     """
     family = _validate(n, family, r, None)
     rule, viol = _SPEC[family]
-    size = _size(n)
-    width = _width(size)
-    packed = _table(size, rule, viol, r, True)[0][n]
-    s = [packed >> j * width & (1 << width) - 1 for j in range(3 + 3 * r)]
+    s = _read(n, rule, viol, r, True)
 
     def at_least(hist):
         return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
@@ -424,7 +478,7 @@ def count(n, family, r=None, t=None):
     """Number of members of the family; matches the enumeration exactly."""
     family = _validate(n, family, r, t)
     if family in _SPEC:
-        return _table(_size(n), *_SPEC[family], r, False)[0][n]
+        return _read(n, *_SPEC[family], r, False)[0]
     base, _, _, size = _DECORATED[family]
     return size(_totals(n, base, r), t)
 
@@ -457,5 +511,5 @@ def clear_caches():
     That is the counting tables and totals, the lister's walk states, and
     the results of ``count`` and ``count_pairs``.
     """
-    for memo in (_table, _totals, _completes, _live, count, count_pairs):
+    for memo in (_held, _totals, _completes, _live, count, count_pairs):
         memo.cache_clear()

@@ -14,9 +14,18 @@ from __future__ import annotations
 from .partitions import _check_modulus, _check_takes_t, _is_int
 
 
+# The largest truncation degree.  The costliest named series of degree
+# 16384 (O_1r at r = 7) takes about 4 s, nearly all of it one Karatsuba
+# product, and each doubling of the degree costs about 4.5 times more, so a
+# larger bound is refused before any coefficient is stored.
+DEGREE_LIMIT = 16384
+
+
 def _check_bound(bound):
     if not _is_int(bound) or bound < 0:
         raise ValueError(f"degree bound must be a non-negative integer, got {bound!r}")
+    if bound > DEGREE_LIMIT:
+        raise ValueError(f"degree bound must be at most {DEGREE_LIMIT}, got {bound}")
 
 
 def _check_degree(degree, bound):

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from beckpart import Partition, cli
+from beckpart import Partition, cli, families
 
 
 def run(capsys, *argv):
@@ -318,6 +319,38 @@ class TestVerify:
     def test_usage_error_exits_two(self, capsys):
         assert run(capsys, "verify", "nonsense", "--r", "2")[0] == 2
         assert run(capsys, "count", "--family", "Or", "--n", "4")[0] == 2  # missing --r
+
+
+class TestSizeLimits:
+    # Sizes past the counting and series limits exit 2 at once, before any
+    # table or coefficient list is allocated.
+    @pytest.mark.parametrize("argv", [
+        "count --family Or --r 3 --n 1000000000",
+        "series --gf O_r --r 3 --degree 1000000000",
+    ])
+    def test_huge_size_is_refused_under_a_memory_cap(self, argv):
+        resource = pytest.importorskip("resource")
+        cap = 3 << 29  # 1.5 GiB of address space for the child process
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-m", "beckpart", *argv.split()], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and "must be at most" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_count_past_the_limit_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        for size in ("--n", "--n-max"):
+            code, out, err = run(capsys, "count", "--family", "Or", "--r", "3", size, "20000")
+            assert (code, out) == (2, ""), err
+            assert f"n must be at most {families.COUNT_LIMIT}" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestModuleEntry:

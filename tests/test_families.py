@@ -1,5 +1,6 @@
 """Family enumeration against independent filter oracles, plus frozen fixtures."""
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from operator import add
@@ -7,7 +8,7 @@ from operator import add
 import pytest
 
 import beckpart
-from beckpart import families
+from beckpart import cli, families
 from beckpart import (
     DecoratedPartition,
     Family,
@@ -255,6 +256,95 @@ class TestCountingAtScale:
         # n on either side of a power of two reads tables of different sizes
         for n in (15, 16, 17, 31, 32, 33, 64, 65):
             assert count(n, Family.F_1R, 4) == walk_count(n, 0, 0, *families._SPEC[Family.F_1R], 4)
+
+
+def partition_numbers(n_max):
+    # p(0..n_max) by Euler's pentagonal recurrence
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    # the (rule, violations, r, totals) of every table built, in order
+    built = []
+    build = families._build
+
+    def recording(size, rule, viol, r, totals, width):
+        built.append((rule, viol, r, totals))
+        return build(size, rule, viol, r, totals, width)
+
+    monkeypatch.setattr(families, "_build", recording)
+    return built
+
+
+class TestTables:
+    def test_block_width_bound(self):
+        # the plain count table's blocks hold p(n): 4 isqrt(n) + 4 bits suffice
+        p = partition_numbers(4096)
+        assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
+        for n in range(4097):
+            assert families._width(n, "none", False) >= p[n].bit_length(), n
+
+    def test_sizes_past_the_limit_are_refused_unbuilt(self, builds):
+        n = families.COUNT_LIMIT + 1
+        for call in (lambda: count(n, Family.O_R, 3), lambda: count(n, Family.D_BAR, 3),
+                     lambda: families._totals(n, Family.F_R, 3)):
+            with pytest.raises(ValueError, match="at most"):
+                call()
+        assert builds == []
+
+    def test_reads_from_a_larger_table_equal_cold_reads(self):
+        def reads():
+            return [(count(n, family, None if family is Family.ALL else r),
+                     families._totals(n, family, r))
+                    for r in range(2, 7) for family in PLAIN for n in range(41)]
+
+        families.clear_caches()
+        cold = reads()  # each n read from the least table that holds it
+        families.clear_caches()
+        for r in range(2, 7):
+            for family in PLAIN:
+                count(1024, family, r)
+                families._totals(1024, family, r)
+        assert {families._held(*families._SPEC[family], r, totals)[0]
+                for r in range(2, 7) for family in PLAIN for totals in (False, True)} == {1024}
+        assert reads() == cold
+
+    def test_a_cold_sweep_builds_one_table_per_spec(self, builds, capsys):
+        families.clear_caches()
+        assert cli.main(["verify", "beck3", "--r", "6", "--n-max", "22"]) == 0
+        assert sorted(builds, key=repr) == sorted([
+            ("none", 0, None, False), ("value", 1, 6, False), ("mult", 1, 6, False),
+            ("value", 0, 6, True), ("mult", 0, 6, True)], key=repr)
+
+    def test_cleared_caches_rebuild_the_table(self, builds):
+        def cold_count():
+            del builds[:]
+            assert count(20, Family.O_R, 3) == count(20, Family.D_R, 3)
+            return builds[:]
+
+        families.clear_caches()
+        assert cold_count() == [("none", 0, None, False), ("value", 0, 3, False),
+                                ("mult", 0, 3, False)]
+        assert cold_count() == []
+        families.clear_caches()
+        assert len(cold_count()) == 3
+        for name, module in list(sys.modules.items()):
+            # every cache of the package, as a harness that clears them all finds it
+            if name == "beckpart" or name.startswith("beckpart."):
+                for obj in list(vars(module).values()):
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        assert len(cold_count()) == 3
 
 
 def test_clear_caches_empties_every_memo():

@@ -16,7 +16,7 @@ from beckpart import (
     total_repeated_values,
     total_residue_parts,
 )
-from beckpart.qseries import GF_NAMES
+from beckpart.qseries import DEGREE_LIMIT, GF_NAMES
 
 
 def eta_quotient_oracle(r, bound):
@@ -158,7 +158,7 @@ class TestGeometric:
         with pytest.raises(ValueError):
             geometric(True, 5)
 
-    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None])
+    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None, DEGREE_LIMIT + 1])
     def test_rejects_bad_bound(self, bound):
         with pytest.raises(ValueError):
             geometric(2, bound)
@@ -206,7 +206,7 @@ class TestLambert:
 
     @pytest.mark.parametrize("family, t", [("multiples", None), ("progression", 1),
                                            ("mixed", 2), ("repeat-excess", 1)])
-    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None])
+    @pytest.mark.parametrize("bound", [2.5, "7", -1, True, None, DEGREE_LIMIT + 1])
     def test_rejects_bad_bound(self, family, t, bound):
         with pytest.raises(ValueError):
             lambert_sum(family, 3, t, bound)
