@@ -2,14 +2,15 @@
 
 Subcommands: ``enumerate``, ``count``, ``verify``, ``bijection``,
 ``diagram``, ``series``.  Exit codes: 0 on success or all checks passing,
-1 when a verification fails (the report is still emitted), 2 on usage or
-domain errors.
+1 when a verification fails (the report is still emitted) or the reader
+closes standard output, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -179,6 +180,28 @@ def _element_json(x):
     return x
 
 
+_BLOCK = 1024  # members per write of enumerate
+
+
+def _blocks(stream):
+    # The members in lists of _BLOCK.  When the stream raises, the members
+    # listed before it are yielded first, so they still reach the output; a
+    # block whose write failed is never yielded again.
+    block = []
+    try:
+        for x in stream:
+            block.append(x)
+            if len(block) == _BLOCK:
+                yield block
+                block = []
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def _cmd_enumerate(args, out):
     if (args.family is None) == (args.pairset is None):
         raise ValueError("enumerate needs exactly one of --family / --pairset")
@@ -187,10 +210,18 @@ def _cmd_enumerate(args, out):
     else:
         stream = families.enumerate_pairs(args.n, PairSet(args.pairset), args.r, args.t)
     if args.format == "json":
-        print(json.dumps([_element_json(x) for x in stream]), file=out)
+        # the bytes of json.dumps of the whole list, written a block at a
+        # time; the first block is read before "[" is written, so a request
+        # that fails validation writes nothing
+        joined = (", ".join(map(json.dumps, map(_element_json, block)))
+                  for block in _blocks(stream))
+        out.write("[" + next(joined, ""))
+        for text in joined:
+            out.write(", " + text)
+        out.write("]\n")
     else:
-        for x in stream:
-            print(x, file=out)
+        for block in _blocks(stream):
+            out.write("\n".join(map(str, block)) + "\n")
     return 0
 
 
@@ -373,6 +404,19 @@ _COMMANDS = {
 }
 
 
+def _quiet_stdout():
+    # Point stdout at os.devnull when it has a file descriptor, so the flush
+    # at interpreter exit does not fail again on a closed pipe (the SIGPIPE
+    # note of the Python signal module docs).
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -380,8 +424,12 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except (ValueError, bijections.BijectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        _quiet_stdout()
+        return 1

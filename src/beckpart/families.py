@@ -40,7 +40,6 @@ then count.  The order is part of the contract so fixtures stay stable.
 from __future__ import annotations
 
 from collections import namedtuple
-from copy import copy
 from enum import Enum
 from functools import lru_cache
 from itertools import tee
@@ -298,22 +297,59 @@ def _moves(n, prev, used, rule, viol, r):
                 yield v, c, u
 
 
-@lru_cache(maxsize=None)
-def _completes(n, prev, used, rule, viol, r):
-    # whether a walk state has a completion (a nonzero count), by a search
-    # that stops at the first one, so a large family's first member streams
-    # without counting the family
+def _settled(n, prev, used, rule, viol, r):
+    # whether a walk state has a completion when no search is needed, else
+    # None: a walk closes at n = 0, and a flat tail below prev with no
+    # violation left sums to at least prev - k(r-1) over k = 1..q
     if n == 0:
         return used + _RULES[rule](r, prev, 0, 0) == viol
     if rule == "gap" and used == viol:
-        # the least flat tail below prev: prev - k(r-1) for k = 1..q
         q = (prev - 1) // (r - 1)
         if n < q * prev - (r - 1) * q * (q + 1) // 2:
             return False
-    for v, c, u in _moves(n, prev, used, rule, viol, r):
-        if _completes(n - v * c, v, u, rule, viol, r):
+    return None
+
+
+_known = {}  # walk state -> whether it has a completion, for every state searched
+_CacheInfo = namedtuple("_CacheInfo", "currsize")
+
+
+def _completes(n, prev, used, rule, viol, r):
+    # Whether a walk state has a completion (a nonzero count), by a
+    # depth-first search that stops at the first one, so a large family's
+    # first member streams without counting the family.  The search keeps
+    # its own stack of (state, moves left), one entry per run placed, so no
+    # recursion limit bounds the distinct values of a member.
+    state = (n, prev, used, rule, viol, r)
+    stack = []
+    while True:
+        found = _known.get(state)
+        if found is None:
+            found = _settled(*state)
+        if found is None:
+            stack.append((state, _moves(*state)))
+        elif found:  # a completion of the state completes every state below it
+            for s, _ in stack:
+                _known[s] = True
             return True
-    return False
+        # the next move of the deepest state with moves left; a state whose
+        # moves are all spent has no completion
+        while stack:
+            s, moves = stack[-1]
+            move = next(moves, None)
+            if move is not None:
+                v, c, u = move
+                state = (s[0] - v * c, v, u, rule, viol, r)
+                break
+            _known[s] = False
+            stack.pop()
+        else:
+            return False
+
+
+# the memo is read and emptied as the functools caches are
+_completes.cache_clear = _known.clear
+_completes.cache_info = lambda: _CacheInfo(len(_known))
 
 
 def _search(n, prev, used, rule, viol, r):
@@ -345,14 +381,14 @@ def _walk(n, rule, viol, r):
             yield Partition()
         return
     parts = []
-    stack = [(copy(_live(n, 0, 0, rule, viol, r)), 0)]
+    stack = [(_live(n, 0, 0, rule, viol, r).__copy__(), 0)]
     while stack:
         moves, depth = stack[-1]
         for rest, v, u, run in moves:
             del parts[depth:]
             parts += run
             if rest:
-                stack.append((copy(_live(rest, v, u, rule, viol, r)), len(parts)))
+                stack.append((_live(rest, v, u, rule, viol, r).__copy__(), len(parts)))
                 break
             yield Partition._make(parts)
         else:
@@ -370,10 +406,19 @@ def is_member(lam, family, r, t=None):
     _check_modulus(r)
     rule, viol = _SPEC[family]
     breaks = _RULES[rule]
-    used = prev = 0
-    for v, c in lam.runs():
-        used += breaks(r, prev, v, c)
-        prev = v
+    # the runs read off the sorted parts in one pass, stopping once the
+    # violations pass those allowed (a rule never takes one back)
+    used = prev = i = 0
+    k = len(lam)
+    while i < k:
+        v = lam[i]
+        j = i + 1
+        while j < k and lam[j] == v:
+            j += 1
+        used += breaks(r, prev, v, j - i)
+        if used > viol:
+            return False
+        prev, i = v, j
     return used + breaks(r, prev, 0, 0) == viol
 
 
@@ -383,8 +428,11 @@ def is_member(lam, family, r, t=None):
 # ---------------------------------------------------------------------------
 
 def _gap(lam, i):
-    # the gap at 1-based position i, parts past the length reading 0
-    return lam.part_at(i) - lam.part_at(i + 1)
+    # the gap at 1-based position i >= 1, parts past the length reading 0
+    k = len(lam)
+    if i >= k:
+        return lam[i - 1] if i == k else 0
+    return lam[i - 1] - lam[i]
 
 
 def _any(*_):
@@ -470,7 +518,7 @@ def enumerate_family(n, family, r=None, t=None):
     for lam in _walk(n, *_SPEC[base], r):
         for i in range(1, len(lam) + 1):
             if allowed(lam, r, t, i):
-                yield DecoratedPartition(lam, decoration, i)
+                yield DecoratedPartition._make(lam, decoration, i)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
@@ -496,7 +544,7 @@ def enumerate_pairs(n, tag, r, t=None):
             if height(r, i):
                 for flat in _walk(n - s * i, *_SPEC[Family.F_R], r):
                     if gap(flat, r, i):
-                        yield RectanglePair(flat, s, i)
+                        yield RectanglePair._make(flat, s, i)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -187,15 +187,14 @@ class Partition(tuple):
     # -- rendering ----------------------------------------------------------
 
     def to_plain(self):
-        return ",".join(str(p) for p in self)
+        return ",".join(map(str, self))
 
     def to_exponential(self):
         return ",".join(
             f"{v}^{c}" if c > 1 else str(v) for v, c in self.runs()
         )
 
-    def __str__(self):
-        return self.to_plain()
+    __str__ = to_plain
 
     def __repr__(self):
         return f"Partition({tuple(self)!r})"
@@ -310,18 +309,23 @@ class DecoratedPartition:
     def size(self):
         return self.base.size
 
+    @classmethod
+    def _make(cls, base, decoration, position):
+        # Fast path: the caller guarantees a Partition base, a known
+        # decoration and a position it may carry.
+        x = object.__new__(cls)
+        x.__dict__.update(base=base, decoration=decoration, position=position)
+        return x
+
     def undecorated(self):
         return self.base
 
     def text(self):
-        suffix = "*" if self.decoration == MARK else "~"
-        bits = []
-        for i, p in enumerate(self.base, start=1):
-            bits.append(f"{p}{suffix}" if i == self.position else str(p))
+        bits = list(map(str, self.base))
+        bits[self.position - 1] += "*" if self.decoration == MARK else "~"
         return ",".join(bits)
 
-    def __str__(self):
-        return self.text()
+    __str__ = text
 
 
 @dataclass(frozen=True)
@@ -340,6 +344,14 @@ class RectanglePair:
         if not _is_int(self.count) or self.count < 1:
             raise ValueError(f"rectangle count must be a positive integer, got {self.count!r}")
 
+    @classmethod
+    def _make(cls, flat, part, count):
+        # Fast path: the caller guarantees a Partition flat component and
+        # positive integers part and count.
+        x = object.__new__(cls)
+        x.__dict__.update(flat=flat, part=part, count=count)
+        return x
+
     @property
     def size(self):
         return self.flat.size + self.part * self.count
@@ -350,8 +362,7 @@ class RectanglePair:
     def text(self):
         return f"(({self.flat.to_plain()}), ({self.part}^{self.count}))"
 
-    def __str__(self):
-        return self.text()
+    __str__ = text
 
 
 def modular_diagram_rows(lam, r):

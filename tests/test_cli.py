@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -189,6 +190,86 @@ class TestCountAndEnumerate:
         code, _, err = run(
             capsys, "count", "--family", "Ostar", "--r", "3", "--t", "3", "--n", "5")
         assert code == 2 and "t" in err
+
+
+def enumerate_grid(rs, n_max):
+    """enumerate argv for every family and pair set at each r, n <= n_max and every t."""
+    for r in rs:
+        for kind, tags in (("family", families.Family), ("pairset", families.PairSet)):
+            for tag in tags:
+                for t in range(1, r) if tag in families._NEEDS_T else (None,):
+                    for n in range(n_max + 1):
+                        argv = ["enumerate", f"--{kind}", tag.value, "--r", str(r), "--n", str(n)]
+                        yield argv + ([] if t is None else ["--t", str(t)])
+
+
+def enumerate_output(parser, argv):
+    # one parser for the grid: building it per call would dominate the test
+    args = parser.parse_args(argv)
+    out = io.StringIO()
+    assert cli._COMMANDS[args.command](args, out) == 0
+    return out.getvalue()
+
+
+def listed(argv):
+    """The members enumerate lists for argv, straight from the families module."""
+    args = cli.build_parser().parse_args(argv)
+    if args.family is not None:
+        return list(families.enumerate_family(args.n, args.family, args.r, args.t))
+    return list(families.enumerate_pairs(args.n, args.pairset, args.r, args.t))
+
+
+class TestEnumerateOutput:
+    # sha256 over the grid below of each argv and its output, recorded from
+    # the one print per text member and the json.dumps of the whole list
+    # that the block writes replaced
+    DIGESTS = {
+        "text": "8328cde252a747c7eab06839bf4b157e32f1c4eeb75ae741d9a910123669f75d",
+        "json": "0e9c33e51d554b19720e10c85aba8f76ad275a3616c827e388c8ba1c3e460c6a",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_digest(self, fmt):
+        parser = cli.build_parser()
+        h = hashlib.sha256()
+        for argv in enumerate_grid(range(2, 6), 16):
+            h.update(" ".join(argv).encode() + b"\0"
+                     + enumerate_output(parser, argv + ["--format", fmt]).encode())
+        assert h.hexdigest() == self.DIGESTS[fmt]
+
+    @pytest.mark.parametrize("block", [cli._BLOCK, 3])
+    def test_blocks_write_the_bytes_of_the_whole_list(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        parser = cli.build_parser()
+        for argv in enumerate_grid((3,), 10):
+            members = listed(argv)
+            assert enumerate_output(parser, argv) == "".join(f"{x}\n" for x in members)
+            assert enumerate_output(parser, argv + ["--format", "json"]) == \
+                json.dumps([cli._element_json(x) for x in members]) + "\n", argv
+
+    def test_empty_stream(self, capsys):
+        for fmt, empty in (("text", ""), ("json", "[]\n")):
+            code, out, _ = run(capsys, "enumerate", "--pairset", "A", "--r", "3", "--n", "0",
+                               "--format", fmt)
+            assert (code, out) == (0, empty)
+
+    def test_json_request_failing_validation_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "Ostar", "--r", "3", "--n", "5",
+                             "--format", "json")
+        assert (code, out) == (2, "") and "requires the residue t" in err
+
+    @pytest.mark.parametrize("fmt, head", [("text", b"60\n"), ("json", b"[[60], ")])
+    def test_closed_stdout_exits_1_quietly(self, fmt, head):
+        # the reader takes the first bytes and closes the pipe, as `| head -1` does
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = ["enumerate", "--family", "all", "--r", "2", "--n", "60", "--format", fmt]
+        proc = subprocess.Popen([sys.executable, "-m", "beckpart", *argv], cwd=root, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestDiagramAndSeries:

@@ -1,6 +1,7 @@
 """Family enumeration against independent filter oracles, plus frozen fixtures."""
 
 import sys
+import time
 from collections import Counter
 from functools import lru_cache
 from operator import add
@@ -173,6 +174,16 @@ def test_listing_recovers_from_a_failed_search(monkeypatch):
         list(enumerate_family(12, Family.T_R, 3))
     monkeypatch.undo()
     assert list(enumerate_family(12, Family.T_R, 3)) == full
+
+
+def test_first_member_of_a_flat_family_with_many_distinct_values():
+    # the completion search keeps its own stack: the first flat partition of
+    # 200000 has 631 distinct values, past the default recursion limit
+    start = time.perf_counter()
+    lam = next(enumerate_family(200000, Family.F_R, 2))
+    assert time.perf_counter() - start < 10
+    # the largest first part k of a 2-flat partition of n has k(k+1)/2 <= n
+    assert lam.size == 200000 and lam.is_flat(2) and lam[0] == 631
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +490,23 @@ def test_membership_readers_accept_exactly_the_listed_members(r):
                 members = set(enumerate_family(n, family, r, t))
                 assert {d for d in decorated if families._in_decorated(d, family, r, t)} \
                     == members, (n, family, r, t)
+
+
+def test_listed_members_are_what_the_public_constructors_build():
+    # the listers build members without re-validation; each is exactly what
+    # the checking constructor makes of the same fields
+    for r in range(2, 6):
+        for n in range(0, 17):
+            for family in families._DECORATED:
+                for t in residues(family, r):
+                    for x in enumerate_family(n, family, r, t):
+                        assert type(x.base) is Partition
+                        assert x == DecoratedPartition(x.base, x.decoration, x.position)
+            for tag in PairSet:
+                for t in residues(tag, r):
+                    for x in enumerate_pairs(n, tag, r, t):
+                        assert type(x.flat) is Partition
+                        assert x == RectanglePair(x.flat, x.part, x.count)
 
 
 class TestValidation:
