@@ -14,24 +14,28 @@ rectangles:
 * ``psi_t``  : one value repeated in (r, 2r)  ->  (flat, (1^i)) pairs
 * ``zeta``   : trades a gap of r-1 at position j against an r-fold taller rectangle
 
-Every map takes ``(x, r, t=None)`` and checks r and t once, on entry: psi1
-and psi2 require the residue t and every other map refuses one, by the
-same rule as the families.  Domain preconditions raise ``BijectionError``
-eagerly.  Codomain postconditions raise ``ConstructionError``; they are
-explicit checks, not ``assert`` statements, so they still run under
-``python -O``.  A map that takes or returns a pair or a decorated
-partition checks both sides against the table entries of ``families``
-through one membership reader: its input with ``_require`` and its image
-with ``_ensure``, each against the whole set, not against hand-written
-conditions.
+Every map takes ``(x, r, t=None)``.  Each direction of a companion map is
+declared once, by ``@_map(domain, codomain, takes_t)``: the families and
+pair sets its inputs and its images lie in, and whether it requires the
+residue t (psi1 and psi2) or refuses one (every other map), by the same
+rule as the families.  One checker reads the declaration.  It checks r and
+t on entry, raises ``BijectionError`` unless the input lies in a domain
+set, and raises ``ConstructionError`` unless the image lies in a codomain
+set and has the input's size.  Both sides are tested through the
+membership reader of ``families``, against the table entries of the whole
+sets, not against hand-written conditions, so a map body only builds its
+image.  xi and its inverse check their own arguments, and their kernel
+checks its own postconditions.  Every check is an explicit raise, not an
+``assert``, so it still runs under ``python -O``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import wraps
 from operator import lt, sub
 
-from .families import Family, PairSet, _gap, _member, is_member
+from .families import Family, PairSet, _gap, _membership
 from .partitions import (
     Composition,
     DecoratedPartition,
@@ -142,23 +146,10 @@ def _as_partition(lam):
     return lam if isinstance(lam, Partition) else Partition(lam)
 
 
-def _check_args(what, r, t, takes_t=False):
-    """Check the modulus r, and the residue t against whether map ``what`` takes one."""
-    _check_modulus(r)
-    _check_takes_t(what, r, t, takes_t)
-
-
 def _ensure(ok, claim, value):
     """A postcondition: raise ConstructionError naming ``value`` unless ``ok``."""
     if not ok:
         raise ConstructionError(f"{claim}: ({value})")
-
-
-def _require(x, s, r, t=None):
-    """A precondition: raise BijectionError unless x lies in s (r and t already checked)."""
-    if not _member(x, s, r, t):
-        raise BijectionError(
-            f"({x}) is not in {s.value} at r = {r}" + (f", t = {t}" if t else ""))
 
 
 def _locked_split(lam, r):
@@ -255,7 +246,8 @@ def xi_forward(lam, r, t=None):
     Returns the full trace; the image itself is ``trace.output``.
     """
     lam = _as_partition(lam)
-    _check_args("xi_forward", r, t)
+    _check_modulus(r)
+    _check_takes_t("xi_forward", r, t, False)
     if not _is_flat_list(lam, r):
         raise BijectionError(f"xi_forward needs an {r}-flat partition, got ({lam})")
     return XiTrace(_xi_kernel(lam, r))
@@ -296,7 +288,8 @@ def xi_inverse(kappa, r, t=None):
     successful return is a certified preimage.
     """
     kappa = _as_partition(kappa)
-    _check_args("xi_inverse", r, t)
+    _check_modulus(r)
+    _check_takes_t("xi_inverse", r, t, False)
     s = [p % r for p in kappa]
     if 0 in s:
         raise BijectionError(f"xi_inverse needs an {r}-regular partition, got ({kappa})")
@@ -335,50 +328,80 @@ def xi_inverse(kappa, r, t=None):
 
 
 # ---------------------------------------------------------------------------
+# The companion maps: one declaration per direction, read by one checker.
+# ---------------------------------------------------------------------------
+
+def _names(sets):
+    return " or ".join(s.value for s in sets)
+
+
+def _map(domain, codomain, takes_t=False):
+    """Declare a companion direction from r, t and x in ``domain`` to ``codomain``.
+
+    The declared function checks r, and t against ``takes_t``; turns a plain
+    sequence into a ``Partition``; raises ``BijectionError`` unless x lies
+    in one of the domain sets; runs the body; and raises
+    ``ConstructionError`` unless the image lies in one of the codomain sets
+    and has the size of x.  The declaration stays readable as the
+    attributes ``domain``, ``codomain`` and ``takes_t``.
+    """
+    inside = tuple(map(_membership, domain))
+    onto = tuple(map(_membership, codomain))
+
+    def declare(body):
+        name = body.__name__
+
+        @wraps(body)
+        def checked(x, r, t=None):
+            _check_modulus(r)
+            _check_takes_t(name, r, t, takes_t)
+            if not isinstance(x, (Partition, DecoratedPartition, RectanglePair)):
+                x = Partition(x)
+            if not any(test(x, r, t) for test in inside):
+                raise BijectionError(f"({x}) is not in {_names(domain)} at r = {r}"
+                                     + (f", t = {t}" if t else ""))
+            image = body(x, r, t)
+            if not (any(test(image, r, t) for test in onto) and image.size == x.size):
+                raise ConstructionError(
+                    f"{name} image is not in {_names(codomain)} with size {x.size}: ({image})")
+            return image
+
+        checked.domain, checked.codomain, checked.takes_t = domain, codomain, takes_t
+        return checked
+
+    return declare
+
+
+# ---------------------------------------------------------------------------
 # phi: one steep gap  <->  one divisible value.
 # ---------------------------------------------------------------------------
 
-def _steep_positions(lam, r):
-    return [i for i, g in enumerate(lam.gaps(), start=1) if g >= r]
+def _steep_position(lam, r):
+    # the position of the first gap >= r
+    return next(i for i, g in enumerate(lam.gaps(), start=1) if g >= r)
 
 
+@_map((Family.F_1R,), (Family.O_1R,))
 def phi_forward(lam, r, t=None):
     """Flatten the unique steep gap into a rectangle, map through xi, re-insert."""
-    lam = _as_partition(lam)
-    _check_args("phi_forward", r, t)
-    steep = _steep_positions(lam, r)
-    if len(steep) != 1:
-        raise BijectionError(f"phi_forward needs exactly one gap >= {r}, got ({lam})")
-    i = steep[0]
-    gap = lam.part_at(i) - lam.part_at(i + 1)
-    k = gap // r
-    _ensure(k >= 1, f"steep gap at {i} is below {r}", lam)
-    flattened = lam - rectangle(r * k, i)
-    image = xi_forward(flattened, r).output.union(rectangle(r * k, i))
-    _ensure(is_member(image, Family.O_1R, r), "phi image is not in O_1r", image)
-    return image
+    i = _steep_position(lam, r)
+    steep = rectangle(_gap(lam, i) // r * r, i)
+    return xi_forward(lam - steep, r).output.union(steep)
 
 
+@_map((Family.O_1R,), (Family.F_1R,))
 def phi_inverse(mu, r, t=None):
     """Remove the unique divisible value, invert xi, restore the steep gap."""
-    mu = _as_partition(mu)
-    _check_args("phi_inverse", r, t)
-    divisible = sorted({p for p in mu if p % r == 0})
-    if len(divisible) != 1:
-        raise BijectionError(
-            f"phi_inverse needs exactly one distinct value divisible by {r}, got ({mu})")
-    rk = divisible[0]
-    j = mu.count(rk)
+    rk = next(p for p in mu if p % r == 0)
     remainder = Partition._make([p for p in mu if p != rk])
-    lam = xi_inverse(remainder, r) + rectangle(rk, j)
-    _ensure(is_member(lam, Family.F_1R, r), "phi preimage is not in F_1r", lam)
-    return lam
+    return xi_inverse(remainder, r) + rectangle(rk, mu.count(rk))
 
 
 # ---------------------------------------------------------------------------
 # psi1: overlined-flat and one-steep partitions  <->  (flat, rectangle) pairs.
 # ---------------------------------------------------------------------------
 
+@_map((Family.F_BAR, Family.F_1R), (PairSet.P_RT,), takes_t=True)
 def psi1_forward(nu, r, t=None):
     """Strip a rectangle of residue-t parts off the decorated/steep position.
 
@@ -387,68 +410,49 @@ def psi1_forward(nu, r, t=None):
     are disjoint: with a = 0 the gap at i is < r - t in case 1 and >= r - t
     in case 2.
     """
-    _check_args("psi1_forward", r, t, True)
     if isinstance(nu, DecoratedPartition):
-        _require(nu, Family.F_BAR, r, t)
         i = nu.position
         flat = nu.base - rectangle(t, i)
-        pair = RectanglePair(flat, t, i)
         _ensure(_gap(flat, i) < r - t, f"psi1 case-1 gap at {i} is not below {r - t}", flat)
-    else:
-        nu = _as_partition(nu)
-        _require(nu, Family.F_1R, r, t)
-        i = _steep_positions(nu, r)[0]
-        a = (_gap(nu, i) - t) // r
-        flat = nu - rectangle(a * r + t, i)
-        pair = RectanglePair(flat, a * r + t, i)
-        _ensure(a > 0 or _gap(flat, i) >= r - t, f"psi1 case-2 gap at {i} is below {r - t}", flat)
-    _ensure(_member(pair, PairSet.P_RT, r, t) and pair.size == nu.size,
-            f"psi1 image is not a pair of size {nu.size} in Prt", pair)
-    return pair
+        return RectanglePair(flat, t, i)
+    i = _steep_position(nu, r)
+    a = (_gap(nu, i) - t) // r
+    flat = nu - rectangle(a * r + t, i)
+    _ensure(a > 0 or _gap(flat, i) >= r - t, f"psi1 case-2 gap at {i} is below {r - t}", flat)
+    return RectanglePair(flat, a * r + t, i)
 
 
+@_map((PairSet.P_RT,), (Family.F_BAR, Family.F_1R), takes_t=True)
 def psi1_inverse(pair, r, t=None):
     """Re-attach the rectangle; overline the landing position when no steep gap appears."""
-    _check_args("psi1_inverse", r, t, True)
-    _require(pair, PairSet.P_RT, r, t)
     i = pair.count
     nu = pair.flat + rectangle(pair.part, i)
-    family = Family.F_1R if pair.part > t or _gap(nu, i) >= r else Family.F_BAR
-    if family is Family.F_BAR:
-        nu = DecoratedPartition(nu, OVERLINE, i)
-    _ensure(_member(nu, family, r, t), f"psi1 preimage is not in {family.value}", nu)
-    return nu
+    if pair.part > t or _gap(nu, i) >= r:
+        return nu
+    return DecoratedPartition(nu, OVERLINE, i)
 
 
 # ---------------------------------------------------------------------------
 # psi2: marked r-regular partitions  <->  (flat, rectangle) pairs.
 # ---------------------------------------------------------------------------
 
+@_map((Family.O_STAR,), (PairSet.P_RT,), takes_t=True)
 def psi2_forward(lam, r, t=None):
     """Remove the marked value down to the mark's rank, then invert xi."""
-    _check_args("psi2_forward", r, t, True)
-    _require(lam, Family.O_STAR, r, t)
     base, value = lam.base, lam.value
     first = base.index(value)
     i = lam.position - first  # rank of the mark among equal parts
     remainder = Partition._make(
         [p for idx, p in enumerate(base) if not (p == value and idx < first + i)]
     )
-    pair = RectanglePair(xi_inverse(remainder, r), value, i)
-    _ensure(_member(pair, PairSet.P_RT, r, t) and pair.size == base.size,
-            f"psi2 image is not a pair of size {base.size} in Prt", pair)
-    return pair
+    return RectanglePair(xi_inverse(remainder, r), value, i)
 
 
+@_map((PairSet.P_RT,), (Family.O_STAR,), takes_t=True)
 def psi2_inverse(pair, r, t=None):
     """Push the flat component through xi, merge the rectangle, mark its last copy."""
-    _check_args("psi2_inverse", r, t, True)
-    _require(pair, PairSet.P_RT, r, t)
     nu = xi_forward(pair.flat, r).output.union(pair.rectangle())
-    position = nu.index(pair.part) + pair.count  # the count-th copy, 1-based
-    lam = DecoratedPartition(nu, MARK, position)
-    _ensure(_member(lam, Family.O_STAR, r, t), "psi2 preimage is not in Ostar", lam)
-    return lam
+    return DecoratedPartition(nu, MARK, nu.index(pair.part) + pair.count)  # the count-th copy
 
 
 # ---------------------------------------------------------------------------
@@ -464,45 +468,31 @@ def _overline_last(nu, i):
     return DecoratedPartition(nu, OVERLINE, len(nu) - nu[::-1].index(i))
 
 
+@_map((Family.O_BAR,), (PairSet.A_O,))
 def psi_o_forward(lam, r, t=None):
     """Drop the overlined part of an r-regular partition; invert xi on the rest."""
-    _check_args("psi_o_forward", r, t)
-    _require(lam, Family.O_BAR, r)
-    pair = RectanglePair(xi_inverse(_remove_one(lam.base, lam.position), r), 1, lam.value)
-    _ensure(_member(pair, PairSet.A_O, r), "psi_o image is not in Ao", pair)
-    return pair
+    return RectanglePair(xi_inverse(_remove_one(lam.base, lam.position), r), 1, lam.value)
 
 
+@_map((PairSet.A_O,), (Family.O_BAR,))
 def psi_o_inverse(pair, r, t=None):
-    _check_args("psi_o_inverse", r, t)
-    _require(pair, PairSet.A_O, r)
-    lam = _overline_last(xi_forward(pair.flat, r).output.union((pair.count,)), pair.count)
-    _ensure(_member(lam, Family.O_BAR, r), "psi_o preimage is not in Obar", lam)
-    return lam
+    return _overline_last(xi_forward(pair.flat, r).output.union((pair.count,)), pair.count)
 
 
+@_map((Family.D_BAR,), (PairSet.A_D,))
 def psi_d_forward(lam, r, t=None):
     """Drop the overlined part of a multiplicity-bounded partition; conjugate."""
-    _check_args("psi_d_forward", r, t)
-    _require(lam, Family.D_BAR, r)
-    pair = RectanglePair(_remove_one(lam.base, lam.position).conjugate(), 1, lam.value)
-    _ensure(_member(pair, PairSet.A_D, r), "psi_d image is not in Ad", pair)
-    return pair
+    return RectanglePair(_remove_one(lam.base, lam.position).conjugate(), 1, lam.value)
 
 
+@_map((PairSet.A_D,), (Family.D_BAR,))
 def psi_d_inverse(pair, r, t=None):
-    _check_args("psi_d_inverse", r, t)
-    _require(pair, PairSet.A_D, r)
-    lam = _overline_last(pair.flat.conjugate().union((pair.count,)), pair.count)
-    _ensure(_member(lam, Family.D_BAR, r), "psi_d preimage is not in Dbar", lam)
-    return lam
+    return _overline_last(pair.flat.conjugate().union((pair.count,)), pair.count)
 
 
+@_map((Family.T_R,), (PairSet.A_T,))
 def psi_t_forward(lam, r, t=None):
     """Remove r copies of the overloaded value, conjugate, record i = r*value."""
-    lam = _as_partition(lam)
-    _check_args("psi_t_forward", r, t)
-    _require(lam, Family.T_R, r)
     j = next(v for v, c in lam.multiplicities().items() if c >= r)
     survivors = []
     dropped = 0
@@ -511,38 +501,25 @@ def psi_t_forward(lam, r, t=None):
             dropped += 1
         else:
             survivors.append(p)
-    pair = RectanglePair(Partition._make(survivors).conjugate(), 1, r * j)
-    _ensure(_member(pair, PairSet.A_T, r), "psi_t image is not in At", pair)
-    return pair
+    return RectanglePair(Partition._make(survivors).conjugate(), 1, r * j)
 
 
+@_map((PairSet.A_T,), (Family.T_R,))
 def psi_t_inverse(pair, r, t=None):
-    _check_args("psi_t_inverse", r, t)
-    _require(pair, PairSet.A_T, r)
-    lam = pair.flat.conjugate().union(rectangle(pair.count // r, r))
-    _ensure(_member(lam, Family.T_R, r), "psi_t preimage is not in Tr", lam)
-    return lam
+    return pair.flat.conjugate().union(rectangle(pair.count // r, r))
 
 
 # ---------------------------------------------------------------------------
 # zeta: trades a gap of r-1 at position j against an r-fold taller rectangle.
 # ---------------------------------------------------------------------------
 
+@_map((PairSet.A,), (PairSet.B,))
 def zeta_forward(pair, r, t=None):
-    _check_args("zeta_forward", r, t)
-    _require(pair, PairSet.A, r)
     j = pair.count
-    image = RectanglePair(pair.flat - rectangle(r - 1, j), 1, r * j)
-    _ensure(_member(image, PairSet.B, r) and image.size == pair.size,
-            f"zeta image is not a pair of size {pair.size} in B", image)
-    return image
+    return RectanglePair(pair.flat - rectangle(r - 1, j), 1, r * j)
 
 
+@_map((PairSet.B,), (PairSet.A,))
 def zeta_inverse(pair, r, t=None):
-    _check_args("zeta_inverse", r, t)
-    _require(pair, PairSet.B, r)
     j = pair.count // r
-    image = RectanglePair(pair.flat + rectangle(r - 1, j), 1, j)
-    _ensure(_member(image, PairSet.A, r) and image.size == pair.size,
-            f"zeta preimage is not a pair of size {pair.size} in A", image)
-    return image
+    return RectanglePair(pair.flat + rectangle(r - 1, j), 1, j)

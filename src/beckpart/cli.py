@@ -23,21 +23,22 @@ from .partitions import (
     OVERLINE,
     Partition,
     RectanglePair,
+    _check_size,
     modular_diagram,
     parse_partition,
 )
 
-# map -> (forward, inverse, needs t); "xi-inv" is xi_inverse in both directions
+# map -> (forward, inverse); "xi-inv" is xi_inverse in both directions
 _BIJECTIONS = {
-    "xi": (bijections.xi_forward, bijections.xi_inverse, False),
-    "xi-inv": (bijections.xi_inverse, bijections.xi_inverse, False),
-    "phi": (bijections.phi_forward, bijections.phi_inverse, False),
-    "psi1": (bijections.psi1_forward, bijections.psi1_inverse, True),
-    "psi2": (bijections.psi2_forward, bijections.psi2_inverse, True),
-    "psi-o": (bijections.psi_o_forward, bijections.psi_o_inverse, False),
-    "psi-d": (bijections.psi_d_forward, bijections.psi_d_inverse, False),
-    "psi-t": (bijections.psi_t_forward, bijections.psi_t_inverse, False),
-    "zeta": (bijections.zeta_forward, bijections.zeta_inverse, False),
+    "xi": (bijections.xi_forward, bijections.xi_inverse),
+    "xi-inv": (bijections.xi_inverse, bijections.xi_inverse),
+    "phi": (bijections.phi_forward, bijections.phi_inverse),
+    "psi1": (bijections.psi1_forward, bijections.psi1_inverse),
+    "psi2": (bijections.psi2_forward, bijections.psi2_inverse),
+    "psi-o": (bijections.psi_o_forward, bijections.psi_o_inverse),
+    "psi-d": (bijections.psi_d_forward, bijections.psi_d_inverse),
+    "psi-t": (bijections.psi_t_forward, bijections.psi_t_inverse),
+    "zeta": (bijections.zeta_forward, bijections.zeta_inverse),
 }
 MAPS = tuple(_BIJECTIONS)
 
@@ -269,7 +270,8 @@ def _decorated_input(args):
 
 
 def _cmd_bijection(args, out):
-    forward, inverse, needs_t = _BIJECTIONS[args.map]
+    forward, inverse = _BIJECTIONS[args.map]
+    needs_t = getattr(forward, "takes_t", False)  # declared by each companion map; xi takes none
     pair = args.map == "zeta" or args.rect_count is not None
     for flag, unused, reason in (
             ("--trace", args.trace and (args.map != "xi" or args.inverse),
@@ -287,6 +289,7 @@ def _cmd_bijection(args, out):
             raise ValueError(f"map {args.map!r} takes a pair: add --rect-count (and --rect-part)")
         rect_part = 1 if args.rect_part is None else args.rect_part
         obj = RectanglePair(parse_partition(args.partition), rect_part, args.rect_count)
+        _check_size(obj.size, "pair")
     else:
         obj = _decorated_input(args)
 

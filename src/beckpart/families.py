@@ -39,6 +39,7 @@ then count.  The order is part of the contract so fixtures stay stable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -285,28 +286,40 @@ def _moves(n, prev, used, rule, viol, r):
     breaks = _RULES[rule]
     spent = used == viol
     # Never try runs the rule can only refuse: with no violation left a gap
-    # rule allows only drops below r and a multiplicity rule only runs below
-    # r, and a between rule never allows a run of 2r or more.
-    lo = max(1, prev - r + 1) if spent and rule == "gap" else 1
+    # rule allows only drops below r, and a run (v, c) only when the least
+    # flat tail below v fits in what is left, a multiplicity rule only runs
+    # below r, and a between rule never allows a run of 2r or more.
+    tail = spent and rule == "gap"
+    lo = max(1, prev - r + 1) if tail else 1
+    hi = min(n, prev - 1) if prev else n
+    if tail and not prev:
+        # v + _least_tail(v) grows with v, so the first parts that fit are 1..hi
+        hi = bisect_right(range(1, n + 1), n, key=lambda v: v + _least_tail(v, r))
     longest = (r - 1 if spent and rule in ("mult", "between")
                else 2 * r - 1 if rule == "between" else n)
-    for v in range(min(n, prev - 1) if prev else n, lo - 1, -1):
-        for c in range(min(n // v, longest), 0, -1):
+    for v in range(hi, lo - 1, -1):
+        most = (n - _least_tail(v, r)) // v if tail else n // v
+        for c in range(min(most, longest), 0, -1):
             u = used + breaks(r, prev, v, c)
             if u <= viol:
                 yield v, c, u
 
 
+def _least_tail(v, r):
+    # the least sum of an r-flat tail below a part v: v - k(r-1) over
+    # k = 1..q, the parts that stay positive
+    q = (v - 1) // (r - 1)
+    return q * v - (r - 1) * q * (q + 1) // 2
+
+
 def _settled(n, prev, used, rule, viol, r):
     # whether a walk state has a completion when no search is needed, else
-    # None: a walk closes at n = 0, and a flat tail below prev with no
-    # violation left sums to at least prev - k(r-1) over k = 1..q
+    # None: a walk closes at n = 0, and a flat tail with no violation left
+    # needs at least its least sum
     if n == 0:
         return used + _RULES[rule](r, prev, 0, 0) == viol
-    if rule == "gap" and used == viol:
-        q = (prev - 1) // (r - 1)
-        if n < q * prev - (r - 1) * q * (q + 1) // 2:
-            return False
+    if rule == "gap" and used == viol and n < _least_tail(prev, r):
+        return False
     return None
 
 
@@ -405,9 +418,13 @@ def is_member(lam, family, r, t=None):
         return True
     _check_modulus(r)
     rule, viol = _SPEC[family]
-    breaks = _RULES[rule]
-    # the runs read off the sorted parts in one pass, stopping once the
-    # violations pass those allowed (a rule never takes one back)
+    return _keeps(lam, _RULES[rule], viol, r)
+
+
+def _keeps(lam, breaks, viol, r):
+    # Whether the runs of lam break the rule exactly viol times.  The runs
+    # are read off the sorted parts in one pass, stopping once the
+    # violations pass those allowed (a rule never takes one back).
     used = prev = i = 0
     k = len(lam)
     while i < k:
@@ -423,8 +440,9 @@ def is_member(lam, family, r, t=None):
 
 
 # ---------------------------------------------------------------------------
-# Decorated families and pair sets, one table entry each.  The lister, the
-# membership readers and the maps' domain and image checks all read them.
+# Decorated families and pair sets, one table entry each.  The lister and
+# the membership reader read them, and the maps' domain and image checks
+# read the membership reader.
 # ---------------------------------------------------------------------------
 
 def _gap(lam, i):
@@ -467,27 +485,24 @@ _PAIRS = {
 _NEEDS_T = (Family.O_STAR, Family.F_BAR, PairSet.P_RT)
 
 
-def _in_decorated(x, family, r, t=None):
-    # whether x lies in the decorated family, r and t taken as valid
-    base, decoration, allowed, _ = _DECORATED[family]
-    return (isinstance(x, DecoratedPartition) and x.decoration == decoration
-            and is_member(x.base, base, r) and allowed(x.base, r, t, x.position))
-
-
-def _in_pairs(x, tag, r, t=None):
-    # whether x lies in the pair set, r and t taken as valid
-    residue, height, gap = _PAIRS[tag]
-    return (isinstance(x, RectanglePair) and (x.part % r == t if residue else x.part == 1)
-            and height(r, x.count) and _is_flat_list(x.flat, r) and gap(x.flat, r, x.count))
-
-
-def _member(x, tag, r, t=None):
-    # whether x lies in the family or pair set, r and t taken as valid
+def _membership(tag):
+    # The membership test of a family or pair set, as a predicate of
+    # (x, r, t) with r and t taken as valid.  The table entry is read here,
+    # once, so a caller that keeps the predicate pays only for the test.
     if tag in _PAIRS:
-        return _in_pairs(x, tag, r, t)
+        residue, height, gap = _PAIRS[tag]
+        return lambda x, r, t: (
+            isinstance(x, RectanglePair) and (x.part % r == t if residue else x.part == 1)
+            and height(r, x.count) and _is_flat_list(x.flat, r) and gap(x.flat, r, x.count))
     if tag in _DECORATED:
-        return _in_decorated(x, tag, r, t)
-    return isinstance(x, Partition) and is_member(x, tag, r)
+        base, decoration, allowed, _ = _DECORATED[tag]
+        plain = _membership(base)
+        return lambda x, r, t: (
+            isinstance(x, DecoratedPartition) and x.decoration == decoration
+            and plain(x.base, r, t) and allowed(x.base, r, t, x.position))
+    rule, viol = _SPEC[tag]
+    breaks = _RULES[rule]
+    return lambda x, r, t: isinstance(x, Partition) and _keeps(x, breaks, viol, r)
 
 
 # ---------------------------------------------------------------------------

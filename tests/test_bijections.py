@@ -286,8 +286,81 @@ class TestPostconditions:
             env=env, capture_output=True, text=True, check=True).stdout.splitlines()
         assert out[0] == "debug False"
         assert out[1].startswith("xi_forward: image (1) has size 1, not 3")
-        assert out[2].startswith("phi_forward: phi image is not in O_1r")
+        assert out[2].startswith("phi_forward: phi_forward image is not in O1r")
         assert len(out) == 3
+
+
+_FAULTY_BODIES = """
+    import sys
+    from beckpart import (DecoratedPartition, Family, PairSet, Partition, RectanglePair,
+                          bijections, enumerate_family, enumerate_pairs)
+    from beckpart.partitions import MARK, OVERLINE
+
+    print("debug", __debug__)
+    r, t = 3, 1
+
+    def listed(n, s):
+        if isinstance(s, PairSet):
+            return list(enumerate_pairs(n, s, r, t if s is PairSet.P_RT else None))
+        return list(enumerate_family(n, s, r, t if s in (Family.O_STAR, Family.F_BAR) else None))
+
+    def first(sets, sizes):
+        # the first member of the sets at the least size that has one
+        return next(x for n in sizes for s in sets for x in listed(n, s))
+
+    def same_kind(y):
+        # every object of the kind and size of y
+        n = y.size
+        plain = list(enumerate_family(n, Family.ALL))
+        if isinstance(y, Partition):
+            return plain
+        if isinstance(y, DecoratedPartition):
+            return [DecoratedPartition(lam, d, i) for lam in plain for i in range(1, len(lam) + 1)
+                    for d in (y.decoration, MARK if y.decoration == OVERLINE else OVERLINE)
+                    if d == MARK or i == len(lam) or lam[i] != lam[i - 1]]
+        return [RectanglePair(f, s, i) for s in range(1, n + 1) for i in range(1, n // s + 1)
+                for f in enumerate_family(n - s * i, Family.ALL)]
+
+    for name in sys.argv[1:]:
+        f = getattr(bijections, name)
+        args = (r, t) if f.takes_t else (r,)
+        x = first(f.domain, range(4, 30))
+        y = f(x, *args)
+        inside = {z for s in f.codomain for z in listed(y.size, s)}
+        # an image of the right size outside the codomain, and a member of
+        # the codomain of another size
+        faults = {"outside": next(z for z in same_kind(y) if z not in inside),
+                  "size": first(f.codomain, range(y.size + 1, 60))}
+        for fault, image in faults.items():
+            body = lambda x, r, t, image=image: image
+            body.__name__ = name
+            faulty = bijections._map(f.domain, f.codomain, f.takes_t)(body)
+            try:
+                faulty(x, *args)
+                print(name, fault, "returned")
+            except bijections.ConstructionError as exc:
+                print(name, fault, "ConstructionError:", exc)
+"""
+
+
+class TestImageChecks:
+    def test_every_direction_refuses_a_faulty_image_under_python_O(self):
+        # the real checker around a body that returns a wrong image: one of
+        # the right size outside the codomain, and one in it of another size
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beckpart.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        names = [f.__name__ for f, _, _ in DIRECTIONS]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(_FAULTY_BODIES), *names],
+            env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out[0] == "debug False"
+        expected = [(name, fault, " or ".join(s.value for s in codomain))
+                    for name, (_, _, codomain) in zip(names, DIRECTIONS)
+                    for fault in ("outside", "size")]
+        assert len(out) == 1 + len(expected) == 29
+        for line, (name, fault, sets) in zip(out[1:], expected):
+            assert line.startswith(
+                f"{name} {fault} ConstructionError: {name} image is not in {sets} with size"), line
 
 
 _DIVERGENT_KERNEL = """
@@ -476,22 +549,30 @@ class TestUnitRectangleMaps:
                 assert pair.flat.part_at(i) - pair.flat.part_at(i + 1) <= 1
 
 
-# Every map direction with a pair or decorated side, and the sets its domain
-# is the union of.
+# Every companion map direction, the sets its domain is the union of, and
+# the sets its codomain is the union of.
 DIRECTIONS = [
-    (psi1_forward, (Family.F_BAR, Family.F_1R)),
-    (psi1_inverse, (PairSet.P_RT,)),
-    (psi2_forward, (Family.O_STAR,)),
-    (psi2_inverse, (PairSet.P_RT,)),
-    (psi_o_forward, (Family.O_BAR,)),
-    (psi_o_inverse, (PairSet.A_O,)),
-    (psi_d_forward, (Family.D_BAR,)),
-    (psi_d_inverse, (PairSet.A_D,)),
-    (psi_t_forward, (Family.T_R,)),
-    (psi_t_inverse, (PairSet.A_T,)),
-    (zeta_forward, (PairSet.A,)),
-    (zeta_inverse, (PairSet.B,)),
+    (phi_forward, (Family.F_1R,), (Family.O_1R,)),
+    (phi_inverse, (Family.O_1R,), (Family.F_1R,)),
+    (psi1_forward, (Family.F_BAR, Family.F_1R), (PairSet.P_RT,)),
+    (psi1_inverse, (PairSet.P_RT,), (Family.F_BAR, Family.F_1R)),
+    (psi2_forward, (Family.O_STAR,), (PairSet.P_RT,)),
+    (psi2_inverse, (PairSet.P_RT,), (Family.O_STAR,)),
+    (psi_o_forward, (Family.O_BAR,), (PairSet.A_O,)),
+    (psi_o_inverse, (PairSet.A_O,), (Family.O_BAR,)),
+    (psi_d_forward, (Family.D_BAR,), (PairSet.A_D,)),
+    (psi_d_inverse, (PairSet.A_D,), (Family.D_BAR,)),
+    (psi_t_forward, (Family.T_R,), (PairSet.A_T,)),
+    (psi_t_inverse, (PairSet.A_T,), (Family.T_R,)),
+    (zeta_forward, (PairSet.A,), (PairSet.B,)),
+    (zeta_inverse, (PairSet.B,), (PairSet.A,)),
 ]
+
+
+def test_each_direction_is_declared_with_its_sets_and_residue_rule():
+    for f, domain, codomain in DIRECTIONS:
+        takes_t = f.__name__.startswith(("psi1", "psi2"))
+        assert (f.domain, f.codomain, f.takes_t) == (domain, codomain, takes_t), f.__name__
 
 
 def candidates(n):
@@ -519,7 +600,7 @@ def members(n, s, r, t):
 def test_maps_take_exactly_their_domain(r):
     for n in range(0, 13):
         every = candidates(n)
-        for f, domain in DIRECTIONS:
+        for f, domain, _ in DIRECTIONS:
             takes_t = f.__name__.startswith(("psi1", "psi2"))
             for t in range(1, r) if takes_t else (None,):
                 args = (r, t) if takes_t else (r,)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from beckpart import Partition, cli, families
+from beckpart import Partition, cli, families, parse_partition, partitions
 
 
 def run(capsys, *argv):
@@ -408,6 +408,12 @@ class TestSizeLimits:
     @pytest.mark.parametrize("argv", [
         "count --family Or --r 3 --n 1000000000",
         "series --gf O_r --r 3 --degree 1000000000",
+        "diagram --r 3 --partition 1^100000000000",
+        "diagram --r 2 --partition 100000000000",
+        "bijection --map xi-inv --r 3 --partition 100000000001",
+        "bijection --map zeta --inverse --r 3 --partition 1 --rect-count 300000000000",
+        "bijection --map psi1 --inverse --r 3 --t 1 --partition 1 --rect-part 4"
+        " --rect-count 100000000000",
     ])
     def test_huge_size_is_refused_under_a_memory_cap(self, argv):
         resource = pytest.importorskip("resource")
@@ -424,6 +430,17 @@ class TestSizeLimits:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:") and "must be at most" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_partition_size_limit(self, capsys):
+        limit = partitions.SIZE_LIMIT
+        for text in (f"{limit}", f"1^{limit}", f"2^{limit // 2}"):
+            assert parse_partition(text).size == limit
+        for text in (f"{limit + 1}", f"1^{limit},1", f"3^{limit}", f"1,{limit}^{limit}"):
+            with pytest.raises(ValueError, match=f"partition size must be at most {limit}"):
+                parse_partition(text)
+        code, out, err = run(capsys, "bijection", "--map", "zeta", "--r", "3", "--partition",
+                             "2", "--rect-count", str(limit))
+        assert (code, out) == (2, "") and f"pair size must be at most {limit}" in err
 
     def test_count_past_the_limit_is_refused_at_once(self, capsys):
         start = time.perf_counter()

@@ -176,14 +176,27 @@ def test_listing_recovers_from_a_failed_search(monkeypatch):
     assert list(enumerate_family(12, Family.T_R, 3)) == full
 
 
-def test_first_member_of_a_flat_family_with_many_distinct_values():
+def test_first_member_of_a_flat_family_with_many_distinct_values(monkeypatch):
     # the completion search keeps its own stack: the first flat partition of
     # 200000 has 631 distinct values, past the default recursion limit
+    settled = families._settled
+    calls = []
+
+    def counted(*state):
+        calls.append(state)
+        return settled(*state)
+
+    monkeypatch.setattr(families, "_settled", counted)
+    families.clear_caches()
     start = time.perf_counter()
     lam = next(enumerate_family(200000, Family.F_R, 2))
     assert time.perf_counter() - start < 10
     # the largest first part k of a 2-flat partition of n has k(k+1)/2 <= n
     assert lam.size == 200000 and lam.is_flat(2) and lam[0] == 631
+    # no first part past 631 and no run whose least flat tail cannot fit is
+    # tried, so about one state is settled per run placed (1,266,152 when
+    # every first part from 200000 down was tried and refused)
+    assert len(calls) < 2000
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +496,12 @@ def test_membership_readers_accept_exactly_the_listed_members(r):
         for tag in PairSet:
             for t in residues(tag, r):
                 members = set(enumerate_pairs(n, tag, r, t))
-                assert {p for p in pairs if families._in_pairs(p, tag, r, t)} == members, \
+                assert {p for p in pairs if families._membership(tag)(p, r, t)} == members, \
                     (n, tag, r, t)
         for family in families._DECORATED:
             for t in residues(family, r):
                 members = set(enumerate_family(n, family, r, t))
-                assert {d for d in decorated if families._in_decorated(d, family, r, t)} \
+                assert {d for d in decorated if families._membership(family)(d, r, t)} \
                     == members, (n, family, r, t)
 
 
