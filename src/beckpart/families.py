@@ -16,13 +16,18 @@ family, and the pair sets couple an r-flat partition with a rectangle.
 Every plain family is one spec: a walk over the runs (v, c) of a partition,
 values descending, in which each run is checked by one rule and the family
 allows none or exactly one violation of it.  The spec is read four ways.
-The lister and the membership test walk it run by run.  Counts and
-statistic totals read it through a largest-value recurrence: each value m,
-from the largest down, is skipped or taken c times.  Its table keeps one
-integer per statistic with one block of bits per size k, so a run of m is
-one shift of each integer.  One table per family is kept, the largest
-built, and serves every n up to its size; n past ``COUNT_LIMIT`` is
-refused.  Counts are never listings and never come from ``qseries``.
+The lister walks it run by run and keeps one memo per spec: the live moves
+of every state it has searched, the runs that lead on to a member.  A later
+walk follows the stored moves by reference, and no walk enters a state with
+no member below it.  The membership test walks the runs of one partition.
+Counts and statistic totals read the spec through a largest-value
+recurrence: each value m, from the largest down, is skipped or taken c
+times.  Its table keeps one integer per statistic with one block of bits
+per size k, so a run of m is one shift of each integer.  One table per
+family is kept, the largest built, and serves every n up to its size; n
+past ``COUNT_LIMIT`` is refused.  Family counts are never listings and
+never come from ``qseries``; pair sets are still counted by listing, under
+the same limit.
 
 Every decorated family and every pair set is one table entry as well: a
 base family with a rule for the positions that may carry the decoration,
@@ -43,7 +48,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from itertools import tee
 from math import isqrt
 from operator import add
 
@@ -137,9 +141,16 @@ _SPEC = {
 # The largest n counted.  The costliest table a count builds at r <= 7, the
 # flat totals behind Fbar at r = 7, took 3.4 s and 31 MiB at size 2048 and
 # 18 s and 60 MiB at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
-# refused before any table is built.  A table's cost also grows with r: the
-# gap rule has r + 1 states and a totals table 3r + 3 slots.
+# refused before any table is built.  A table's cost also grows with
+# cap = min(r, size + 1): the gap rule has cap + 1 states and a totals table
+# 3 cap + 3 slots.
 COUNT_LIMIT = 2048
+
+
+def _countable(n):
+    # n past the limit is refused before any table is built or pair listed
+    if n > COUNT_LIMIT:
+        raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
 
 
 def _size(n):
@@ -159,8 +170,7 @@ def _table(n, rule, viol, r, totals):
     # the held table only once it is built
     held = _held(rule, viol, r, totals)
     if n > held[0]:
-        if n > COUNT_LIMIT:
-            raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
+        _countable(n)
         size = _size(n)
         width = _width(size, rule, totals)
         held[:] = size, width, _build(size, rule, viol, r, totals, width)
@@ -193,12 +203,15 @@ def _build(size, rule, viol, r, totals, width):
     # used, g) for k = 0..size.  The totals slots are count, parts, distinct
     # values, then r-slots of parts by residue and of runs by min(c, r-1),
     # and for the gap rule one of gaps (final part included) by
-    # min(gap, r-1).
+    # min(gap, r-1).  No gap, value or run of a partition of size passes
+    # size, so the g and the r-slots past cap = min(r, size + 1) would stay
+    # empty and are not kept: cost grows with min(r, size), not with r.
     breaks = _RULES[rule]
-    gs = range(r + 1) if rule == "gap" else range(1)  # the values g may take
+    cap = r and min(r, size + 1)  # r is None only for the plain count table
+    gs = range(cap + 1) if rule == "gap" else range(1)  # the values g may take
     states = [(u, g) for u in range(viol + 1) for g in gs]
-    skips = [u * len(gs) + (g and min(g + 1, r)) for u, g in states]
-    slots = 3 + (3 if rule == "gap" else 2) * r if totals else 1
+    skips = [u * len(gs) + (g and min(g + 1, cap)) for u, g in states]
+    slots = 3 + (3 if rule == "gap" else 2) * cap if totals else 1
 
     def closes(u, g):
         # the walk stops at m = 0 with k = 0, and g is then the final part
@@ -206,7 +219,7 @@ def _build(size, rule, viol, r, totals, width):
         if u + breaks(r, g, 0, 0) == viol:
             out[0] = 1 << size * width
             if totals and g:
-                out[3 + 2 * r + min(g, r - 1)] = out[0]
+                out[3 + 2 * cap + min(g, cap - 1)] = out[0]
         return out
 
     table = [closes(u, g) for u, g in states]
@@ -232,11 +245,11 @@ def _build(size, rule, viol, r, totals, width):
                             shift = m * c * width
                             moved = [x >> shift for x in table[(u + b) * len(gs) + after]]
                             runs = list(map(add, runs, moved))
-                            if c < r - 1:
-                                runs[3 + r + c] += moved[0]
+                            if c < cap - 1:
+                                runs[3 + cap + c] += moved[0]
                         parts += runs[0]
-                        if c == r - 1:  # every run of r - 1 or more
-                            runs[3 + r + c] += runs[0]
+                        if c == cap - 1:  # every run of cap - 1 or more
+                            runs[3 + cap + c] += runs[0]
                     # each completion gains the run's statistics
                     runs[1] += parts
                     runs[2] += runs[0]
@@ -247,7 +260,7 @@ def _build(size, rule, viol, r, totals, width):
                     s = u * len(gs) + g
                     new[s] = list(map(add, new[s], runs))
                     if totals and g:  # and the gap from the value above m
-                        new[s][3 + 2 * r + min(g, r - 1)] += runs[0]
+                        new[s][3 + 2 * cap + min(g, cap - 1)] += runs[0]
         table = new
     return table
 
@@ -267,17 +280,21 @@ def _totals(n, family, r):
     family = _validate(n, family, r, None)
     rule, viol = _SPEC[family]
     s = _read(n, rule, viol, r, True)
+    cap = (len(s) - 3) // (3 if rule == "gap" else 2)  # the r-slots kept, min(r, size + 1)
 
-    def at_least(hist):
+    def at_least(hist):  # slots past cap read 0
         return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
 
-    return _Totals(s[0], s[1], s[2], tuple(s[3:3 + r]), at_least(s[3 + r:3 + 2 * r]),
-                   at_least(s[3 + 2 * r:]) if rule == "gap" else None)
+    return _Totals(s[0], s[1], s[2], tuple(s[3:3 + cap]) + (0,) * (r - cap),
+                   at_least(s[3 + cap:3 + 2 * cap]),
+                   at_least(s[3 + 2 * cap:]) if rule == "gap" else None)
 
 
 # ---------------------------------------------------------------------------
 # Listing and membership: the spec read run by run, from the largest value
-# down, with state (n left, previous run value, violations used).
+# down, with state (n left, previous run value, violations used).  The lister
+# keeps one memo per spec of each searched state's live moves, the moves that
+# lead to a member, so a later walk enters only states with a member below.
 # ---------------------------------------------------------------------------
 
 def _moves(n, prev, used, rule, viol, r):
@@ -312,96 +329,58 @@ def _least_tail(v, r):
     return q * v - (r - 1) * q * (q + 1) // 2
 
 
-def _settled(n, prev, used, rule, viol, r):
-    # whether a walk state has a completion when no search is needed, else
-    # None: a walk closes at n = 0, and a flat tail with no violation left
-    # needs at least its least sum
-    if n == 0:
-        return used + _RULES[rule](r, prev, 0, 0) == viol
-    if rule == "gap" and used == viol and n < _least_tail(prev, r):
-        return False
-    return None
-
-
-_known = {}  # walk state -> whether it has a completion, for every state searched
-_CacheInfo = namedtuple("_CacheInfo", "currsize")
-
-
-def _completes(n, prev, used, rule, viol, r):
-    # Whether a walk state has a completion (a nonzero count), by a
-    # depth-first search that stops at the first one, so a large family's
-    # first member streams without counting the family.  The search keeps
-    # its own stack of (state, moves left), one entry per run placed, so no
-    # recursion limit bounds the distinct values of a member.
-    state = (n, prev, used, rule, viol, r)
-    stack = []
-    while True:
-        found = _known.get(state)
-        if found is None:
-            found = _settled(*state)
-        if found is None:
-            stack.append((state, _moves(*state)))
-        elif found:  # a completion of the state completes every state below it
-            for s, _ in stack:
-                _known[s] = True
-            return True
-        # the next move of the deepest state with moves left; a state whose
-        # moves are all spent has no completion
-        while stack:
-            s, moves = stack[-1]
-            move = next(moves, None)
-            if move is not None:
-                v, c, u = move
-                state = (s[0] - v * c, v, u, rule, viol, r)
-                break
-            _known[s] = False
-            stack.pop()
-        else:
-            return False
-
-
-# the memo is read and emptied as the functools caches are
-_completes.cache_clear = _known.clear
-_completes.cache_info = lambda: _CacheInfo(len(_known))
-
-
-def _search(n, prev, used, rule, viol, r):
-    # the moves of a walk state whose target has completions, as
-    # (n left after, v, violations used, the run's parts)
-    try:
-        for v, c, u in _moves(n, prev, used, rule, viol, r):
-            if _completes(n - v * c, v, u, rule, viol, r):
-                yield n - v * c, v, u, (v,) * c
-    except (Exception, KeyboardInterrupt):
-        _live.cache_clear()  # a search cut short must not be read as complete
-        raise
-
-
 @lru_cache(maxsize=None)
-def _live(n, prev, used, rule, viol, r):
-    # The live moves of a walk state, searched only as far as a walk reads
-    # them and kept for later walks: the tee never advances, so each copy of
-    # it reads the moves from the first.
-    return tee(_search(n, prev, used, rule, viol, r), 1)[0]
+def _memo(rule, viol, r):
+    # the lister's searched states of the spec: (n, prev, used) -> the tuple
+    # of its live moves (run, below), below being None where the run closes
+    # the walk and otherwise the stored tuple of the state below; an empty
+    # tuple marks a state with no member below it
+    return {}
 
 
 def _walk(n, rule, viol, r):
     # Members in descending lexicographic order, built in one mutable list.
     # Each stack entry holds the live moves left at one state and the number
-    # of parts placed before it, so every branch taken ends in a member.
-    if n == 0:
-        if _completes(0, 0, 0, rule, viol, r):
+    # of parts placed before it.  A stored state's moves are followed by
+    # reference, so a branch taken from one always ends in a member; a state
+    # not yet stored is entered through its search, which may find none.
+    if not n:
+        if _RULES[rule](r, 0, 0, 0) == viol:
             yield Partition()
         return
+    memo = _memo(rule, viol, r)
+
+    def search(n, prev, used):
+        # The live moves of a state not yet stored, yielded as they are
+        # found, with the search of a state below that is not stored either,
+        # and stored once exhausted.  A walk resumes a search only after
+        # exhausting the search below it, so a walk cut short, by an error or
+        # by closing the stream, stores nothing for the states on its stack.
+        found = []
+        for v, c, u in _moves(n, prev, used, rule, viol, r):
+            run, rest = (v,) * c, n - v * c
+            if not rest:
+                below = None if u + _RULES[rule](r, v, 0, 0) == viol else ()
+            elif (below := memo.get((rest, v, u))) is None:
+                yield run, search(rest, v, u)
+                if below := memo[rest, v, u]:
+                    found.append((run, below))
+                continue
+            if below != ():  # the run leads to a member
+                found.append((run, below))
+                yield run, below
+        memo[n, prev, used] = tuple(found)
+
+    top = memo.get((n, 0, 0))
     parts = []
-    stack = [(_live(n, 0, 0, rule, viol, r).__copy__(), 0)]
+    stack = [(search(n, 0, 0) if top is None else iter(top), 0)]
     while stack:
         moves, depth = stack[-1]
-        for rest, v, u, run in moves:
+        for run, below in moves:
             del parts[depth:]
             parts += run
-            if rest:
-                stack.append((_live(rest, v, u, rule, viol, r).__copy__(), len(parts)))
+            if below is not None:
+                stack.append((iter(below), len(parts)))
                 break
             yield Partition._make(parts)
         else:
@@ -565,6 +544,8 @@ def enumerate_pairs(n, tag, r, t=None):
 @lru_cache(maxsize=None, typed=True)
 def count_pairs(n, tag, r, t=None):
     """Number of pairs in the pair set; matches the enumeration exactly."""
+    _validate(n, tag, r, t, PairSet)
+    _countable(n)
     return sum(1 for _ in enumerate_pairs(n, tag, r, t))
 
 
@@ -574,5 +555,5 @@ def clear_caches():
     That is the counting tables and totals, the lister's walk states, and
     the results of ``count`` and ``count_pairs``.
     """
-    for memo in (_held, _totals, _completes, _live, count, count_pairs):
+    for memo in (_held, _totals, _memo, count, count_pairs):
         memo.cache_clear()

@@ -445,9 +445,10 @@ class TestSizeLimits:
     def test_count_past_the_limit_is_refused_at_once(self, capsys):
         start = time.perf_counter()
         for size in ("--n", "--n-max"):
-            code, out, err = run(capsys, "count", "--family", "Or", "--r", "3", size, "20000")
-            assert (code, out) == (2, ""), err
-            assert f"n must be at most {families.COUNT_LIMIT}" in err
+            for target in (("--family", "Or", "--r", "3"), ("--pairset", "A", "--r", "2")):
+                code, out, err = run(capsys, "count", *target, size, "20000")
+                assert (code, out) == (2, ""), err
+                assert f"n must be at most {families.COUNT_LIMIT}" in err
         assert time.perf_counter() - start < 1
 
 

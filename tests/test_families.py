@@ -4,9 +4,14 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
+from math import isqrt
 from operator import add
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beckpart
 from beckpart import cli, families
@@ -156,47 +161,80 @@ def test_is_member_matches_filter_oracle():
 
 
 def test_listing_recovers_from_a_failed_search(monkeypatch):
-    # a move search cut short by an error must not be cached as complete
+    # a walk cut short by an error stores nothing for the states on its
+    # stack, so none of them is read as searched by the next listing
     full = list(enumerate_family(12, Family.T_R, 3))
-    families._live.cache_clear()
-    families._completes.cache_clear()
-    search = families._completes
-    calls = []
+    moves = families._moves
+    for fail_at in (1, 2, 3, 10, 25, 50):  # of the 53 calls a cold listing makes
+        calls = []
 
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == 40:
-            raise RuntimeError("interrupted")
-        return search(*args)
+        def failing(*state):
+            calls.append(state)
+            if len(calls) == fail_at:
+                raise RuntimeError("interrupted")
+            return moves(*state)
 
-    monkeypatch.setattr(families, "_completes", failing)
-    with pytest.raises(RuntimeError):
-        list(enumerate_family(12, Family.T_R, 3))
-    monkeypatch.undo()
-    assert list(enumerate_family(12, Family.T_R, 3)) == full
+        families.clear_caches()
+        monkeypatch.setattr(families, "_moves", failing)
+        with pytest.raises(RuntimeError):
+            list(enumerate_family(12, Family.T_R, 3))
+        monkeypatch.undo()
+        assert list(enumerate_family(12, Family.T_R, 3)) == full, fail_at
 
 
 def test_first_member_of_a_flat_family_with_many_distinct_values(monkeypatch):
-    # the completion search keeps its own stack: the first flat partition of
-    # 200000 has 631 distinct values, past the default recursion limit
-    settled = families._settled
+    # the lister keeps its own stack: the first flat partition of 200000 has
+    # 631 distinct values, past the default recursion limit
+    moves = families._moves
     calls = []
 
     def counted(*state):
         calls.append(state)
-        return settled(*state)
+        return moves(*state)
 
-    monkeypatch.setattr(families, "_settled", counted)
-    families.clear_caches()
-    start = time.perf_counter()
-    lam = next(enumerate_family(200000, Family.F_R, 2))
-    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(families, "_moves", counted)
     # the largest first part k of a 2-flat partition of n has k(k+1)/2 <= n
-    assert lam.size == 200000 and lam.is_flat(2) and lam[0] == 631
-    # no first part past 631 and no run whose least flat tail cannot fit is
-    # tried, so about one state is settled per run placed (1,266,152 when
-    # every first part from 200000 down was tried and refused)
-    assert len(calls) < 2000
+    for n, k in ((200000, 631), (500000, 999)):
+        families.clear_caches()
+        del calls[:]
+        start = time.perf_counter()
+        lam = next(enumerate_family(n, Family.F_R, 2))
+        assert time.perf_counter() - start < 10
+        assert lam.size == n and lam.is_flat(2) and lam[0] == k
+        # no first part past k and no run whose least flat tail cannot fit
+        # is tried, so each state searched places a run of the member
+        assert len(calls) <= len(set(lam)), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PLAIN[1:]), st.integers(2, 6), st.integers(0, 30),
+                          st.integers(0, 60), st.booleans()), min_size=1, max_size=8))
+def test_walks_cut_short_leave_the_memo_whole(walks):
+    # Each walk stops after k members, or fails once its searches have read
+    # k moves; afterwards every listing reads the memo and must still be whole.
+    moves = families._moves
+    families.clear_caches()
+    for family, r, n, k, fail in walks:
+        ticks = iter(range(k, -1, -1))
+
+        def failing(*state):
+            for move in moves(*state):
+                if not next(ticks):
+                    raise RuntimeError("interrupted")
+                yield move
+
+        with mock.patch.object(families, "_moves", failing if fail else moves):
+            stream = enumerate_family(n, family, r)
+            try:
+                list(islice(stream, None if fail else k))
+            except RuntimeError:
+                pass
+            stream.close()
+    warm = {(family, r, n): list(enumerate_family(n, family, r)) for family, r, n, _, _ in walks}
+    families.clear_caches()
+    for (family, r, n), members in warm.items():
+        assert members == list(enumerate_family(n, family, r)), (family, r, n)
+        assert len(members) == count(n, family, r), (family, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +289,9 @@ def walk_totals(n, family, r):
 
 
 def test_counts_and_totals_match_the_walk_oracle():
-    for r in range(2, 8):
+    # r = 45 passes the table sizes 16 and 32 and r = 301 every size read,
+    # and those tables keep min(r, size + 1) gap states and r-slots
+    for r in (*range(2, 8), 45, 301):
         for n in range(0, 41):
             for family in PLAIN:
                 spec = families._SPEC[family]
@@ -376,8 +416,10 @@ def test_clear_caches_empties_every_memo():
     families._totals(12, Family.F_R, 3)
     list(enumerate_family(12, Family.T_R, 3))
     count_pairs(6, PairSet.A, 2)
-    memos = [obj for obj in vars(families).values() if callable(getattr(obj, "cache_info", None))]
-    assert len(memos) >= 6 and all(m.cache_info().currsize for m in memos)
+    memos = [families._held, families._totals, families._memo, count, count_pairs]
+    assert set(memos) == {obj for obj in vars(families).values()
+                          if callable(getattr(obj, "cache_info", None))}
+    assert all(m.cache_info().currsize for m in memos)
     beckpart.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
