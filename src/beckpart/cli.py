@@ -206,10 +206,7 @@ def _blocks(stream):
 def _cmd_enumerate(args, out):
     if (args.family is None) == (args.pairset is None):
         raise ValueError("enumerate needs exactly one of --family / --pairset")
-    if args.family is not None:
-        stream = families.enumerate_family(args.n, Family(args.family), args.r, args.t)
-    else:
-        stream = families.enumerate_pairs(args.n, PairSet(args.pairset), args.r, args.t)
+    stream = families.enumerate_family(args.n, args.family or args.pairset, args.r, args.t)
     if args.format == "json":
         # the bytes of json.dumps of the whole list, written a block at a
         # time; the first block is read before "[" is written, so a request
@@ -239,9 +236,7 @@ def _cmd_count(args, out):
     _check_n_max(args)
 
     def row(n):
-        if args.family is not None:
-            return n, families.count(n, Family(args.family), args.r, args.t)
-        return n, families.count_pairs(n, PairSet(args.pairset), args.r, args.t)
+        return n, families.count(n, args.family or args.pairset, args.r, args.t)
 
     rows = [row(args.n)] if args.n_max is None else list(_largest_first(args.n_max, row))
     if args.format == "json":

@@ -387,19 +387,6 @@ def _walk(n, rule, viol, r):
             stack.pop()
 
 
-def is_member(lam, family, r, t=None):
-    """Exact membership test for the plain families (t accepted, unused)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    family = Family(family)
-    if family not in _SPEC:
-        raise ValueError(f"no plain membership predicate for decorated family {family.value!r}")
-    if family is Family.ALL:
-        return True
-    _check_modulus(r)
-    rule, viol = _SPEC[family]
-    return _keeps(lam, _RULES[rule], viol, r)
-
-
 def _keeps(lam, breaks, viol, r):
     # Whether the runs of lam break the rule exactly viol times.  The runs
     # are read off the sorted parts in one pass, stopping once the
@@ -488,50 +475,40 @@ def _membership(tag):
 # Public enumeration API.
 # ---------------------------------------------------------------------------
 
-def _validate(n, tag, r, t, kind=Family):
+def _validate(n, tag, r, t):
+    # the Family or PairSet that tag names (the two share no value), once n,
+    # r and t are checked for it
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    tag = kind(tag)
+    tag = PairSet(tag) if isinstance(tag, str) and tag in _PAIRS else Family(tag)
     if tag is not Family.ALL:
         _check_modulus(r)
     _check_takes_t(repr(tag.value), r, t, tag in _NEEDS_T)
     return tag
 
 
-def enumerate_family(n, family, r=None, t=None):
-    """Stream every member of the family exactly once, in canonical order.
+def enumerate_family(n, tag, r=None, t=None):
+    """Stream every member of the family or pair set exactly once, in canonical order.
 
     Plain families yield Partition; decorated families yield
-    DecoratedPartition with decorations in increasing position order.
+    DecoratedPartition with decorations in increasing position order; pair
+    sets yield RectanglePair, rectangles by increasing part then count and
+    the flat component in descending lexicographic order within each.
     """
-    family = _validate(n, family, r, t)
-    if family in _SPEC:
-        yield from _walk(n, *_SPEC[family], r)
-        return
-    base, decoration, allowed, _ = _DECORATED[family]
-    for lam in _walk(n, *_SPEC[base], r):
-        for i in range(1, len(lam) + 1):
-            if allowed(lam, r, t, i):
-                yield DecoratedPartition._make(lam, decoration, i)
+    tag = _validate(n, tag, r, t)
+    if tag in _SPEC:
+        yield from _walk(n, *_SPEC[tag], r)
+    elif tag in _PAIRS:
+        yield from _pairs(n, tag, r, t)
+    else:
+        base, decoration, allowed, _ = _DECORATED[tag]
+        for lam in _walk(n, *_SPEC[base], r):
+            for i in range(1, len(lam) + 1):
+                if allowed(lam, r, t, i):
+                    yield DecoratedPartition._make(lam, decoration, i)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
-def count(n, family, r=None, t=None):
-    """Number of members of the family; matches the enumeration exactly."""
-    family = _validate(n, family, r, t)
-    if family in _SPEC:
-        return _read(n, *_SPEC[family], r, False)[0]
-    base, _, _, size = _DECORATED[family]
-    return size(_totals(n, base, r), t)
-
-
-def enumerate_pairs(n, tag, r, t=None):
-    """Stream the (flat partition, rectangle) pairs of the given pair set.
-
-    Rectangles iterate by increasing part then increasing count, the flat
-    component in descending lexicographic order within each rectangle.
-    """
-    tag = _validate(n, tag, r, t, PairSet)
+def _pairs(n, tag, r, t):
     residue, height, gap = _PAIRS[tag]
     for s in range(t, n + 1, r) if residue else (1,):
         for i in range(1, n // s + 1):
@@ -541,19 +518,40 @@ def enumerate_pairs(n, tag, r, t=None):
                         yield RectanglePair._make(flat, s, i)
 
 
-@lru_cache(maxsize=None, typed=True)
-def count_pairs(n, tag, r, t=None):
-    """Number of pairs in the pair set; matches the enumeration exactly."""
-    _validate(n, tag, r, t, PairSet)
-    _countable(n)
-    return sum(1 for _ in enumerate_pairs(n, tag, r, t))
+@lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
+def count(n, tag, r=None, t=None):
+    """Number of members of the family or pair set; matches the enumeration exactly."""
+    tag = _validate(n, tag, r, t)
+    if tag in _SPEC:
+        return _read(n, *_SPEC[tag], r, False)[0]
+    if tag in _PAIRS:  # still counted by listing
+        _countable(n)
+        return sum(1 for _ in _pairs(n, tag, r, t))
+    base, _, _, size = _DECORATED[tag]
+    return size(_totals(n, base, r), t)
+
+
+def is_member(x, tag, r, t=None):
+    """Exact membership test of x in the family or pair set.
+
+    x is a Partition (a list or tuple of parts is read as one) for a plain
+    family, a DecoratedPartition for a decorated family and a RectanglePair
+    for a pair set; an object of another kind is not a member.
+    """
+    tag = _validate(0, tag, r, t)  # x carries its own size
+    if tag in _SPEC and type(x) in (list, tuple):
+        x = Partition(x)
+    return _membership(tag)(x, r, t)
+
+
+enumerate_pairs, count_pairs = enumerate_family, count  # the names the pair sets had
 
 
 def clear_caches():
     """Empty every memo table of the module.
 
     That is the counting tables and totals, the lister's walk states, and
-    the results of ``count`` and ``count_pairs``.
+    the results of ``count``.
     """
-    for memo in (_held, _totals, _memo, count, count_pairs):
+    for memo in (_held, _totals, _memo, count):
         memo.cache_clear()

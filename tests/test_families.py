@@ -538,12 +538,12 @@ def test_membership_readers_accept_exactly_the_listed_members(r):
         for tag in PairSet:
             for t in residues(tag, r):
                 members = set(enumerate_pairs(n, tag, r, t))
-                assert {p for p in pairs if families._membership(tag)(p, r, t)} == members, \
+                assert {p for p in pairs if is_member(p, tag, r, t)} == members, \
                     (n, tag, r, t)
         for family in families._DECORATED:
             for t in residues(family, r):
                 members = set(enumerate_family(n, family, r, t))
-                assert {d for d in decorated if families._membership(family)(d, r, t)} \
+                assert {d for d in decorated if is_member(d, family, r, t)} \
                     == members, (n, family, r, t)
 
 
