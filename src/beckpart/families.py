@@ -13,6 +13,13 @@ Plain families (for a modulus r >= 2):
 Decorated families attach one mark or overline to a member of a plain base
 family, and the pair sets couple an r-flat partition with a rectangle.
 
+Every family and pair set has one lister, ``enumerate_family``, one counter,
+``count``, and one membership test, ``is_member``; each takes a ``Family``
+or ``PairSet`` tag and reads that tag's one table entry (``_SPEC``,
+``_DECORATED`` or ``_PAIRS``).  ``enumerate_pairs`` and ``count_pairs`` are
+the same functions under the names the pair sets had.  Only this module
+knows which kind of set a tag names.
+
 Every plain family is one spec: a walk over the runs (v, c) of a partition,
 values descending, in which each run is checked by one rule and the family
 allows none or exactly one violation of it.  The spec is read four ways.
@@ -25,17 +32,20 @@ recurrence: each value m, from the largest down, is skipped or taken c
 times.  Its table keeps one integer per statistic with one block of bits
 per size k, so a run of m is one shift of each integer.  One table per
 family is kept, the largest built, and serves every n up to its size; n
-past ``COUNT_LIMIT`` is refused.  Family counts are never listings and
-never come from ``qseries``; pair sets are still counted by listing, under
-the same limit.
+past ``COUNT_LIMIT`` and a table past ``TABLE_BITS`` or ``TABLE_WORK`` (r
+close to n) are refused before anything is built.  Family counts are never
+listings and never come from ``qseries``.  Pair sets are still counted by
+listing, under the same limit, and a pair count that would walk more than
+``WALK_LIMIT`` flat partitions, as the flat count table tells, is refused
+before listing.
 
 Every decorated family and every pair set is one table entry as well: a
 base family with a rule for the positions that may carry the decoration,
 or a kind of rectangle with a filter on its height i and a test of the
 flat component's gap at i or i/r.  An entry is read three ways: the lister
-streams it, a private membership reader tests one object against it, and
-the maps of ``bijections`` check their domains and images through that
-reader.
+streams it, the membership test checks one object against it, and the maps
+of ``bijections`` check their domains and images through the predicate
+that test is built on, made once per declared set.
 
 Every enumerator is deterministic: bases stream in descending lexicographic
 order, decorations by increasing position, rectangles by increasing part
@@ -48,7 +58,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log
 from operator import add
 
 from .partitions import (
@@ -138,13 +148,35 @@ _SPEC = {
 # so a sweep that asks for its largest n first builds one table per family.
 # ---------------------------------------------------------------------------
 
-# The largest n counted.  The costliest table a count builds at r <= 7, the
-# flat totals behind Fbar at r = 7, took 3.4 s and 31 MiB at size 2048 and
-# 18 s and 60 MiB at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
-# refused before any table is built.  A table's cost also grows with
-# cap = min(r, size + 1): the gap rule has cap + 1 states and a totals table
-# 3 cap + 3 slots.
+# The largest n counted.  The costliest tables a count builds at r <= 7 are
+# the regular and flat totals behind Ostar and Fbar: at r = 7 each count
+# took 3.0 s in a fresh process at n = 2048, and the two tables took 16 s
+# and 14 s to build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
+# refused before any table is built.  Every count at n = 2048 peaked at
+# 65 MiB RSS, most of it transient in the plain count table's build.  A
+# table's cost also grows with cap = min(r, size + 1): the gap rule has
+# cap + 1 states and a totals table 3 cap + 3 slots (see TABLE_BITS).
 COUNT_LIMIT = 2048
+
+
+# The largest table built, refused before it is allocated.  A table keeps
+# states x slots integers of (size + 1) * width bits, and its build adds each
+# into the next m's at every m and shifts each slot (violations + 1) times
+# per run, about size ln(size) runs: bits * size * (1 + (violations + 1)
+# ln(size) / states) bit operations in all.  On a grid of 116 builds, those
+# of a second or more took 0.5 to 2 times the work times 17 ps.  The
+# costliest table at r <= 7 and size 2048, the F1r totals (15.5 MiB, 5.2e11
+# bit operations, 12 s), is under both limits, so every table at r <= 7 is
+# built.  r close to n is refused: the Fbar count at r = 300 and n = 200
+# would hold 348 MiB and take about 28 s.
+TABLE_BITS = 1 << 27
+TABLE_WORK = 6 * 10 ** 11
+
+# The most flat partitions a pair count lists: one walk of F_r(n - s i) per
+# rectangle (s^i) kept, read from the flat count table before listing.  A
+# cold walk took 1.9 to 5 us per flat (r = 2..5, walks of 10^5 to 4 * 10^7
+# flats), so a count stops within a few seconds.
+WALK_LIMIT = 10 ** 6
 
 
 def _countable(n):
@@ -212,6 +244,11 @@ def _build(size, rule, viol, r, totals, width):
     states = [(u, g) for u in range(viol + 1) for g in gs]
     skips = [u * len(gs) + (g and min(g + 1, cap)) for u, g in states]
     slots = 3 + (3 if rule == "gap" else 2) * cap if totals else 1
+    bits = len(states) * slots * (size + 1) * width
+    work = bits * size * (1 + (viol + 1) * log(size) / len(states))
+    if bits > TABLE_BITS or work > TABLE_WORK:
+        raise ValueError(f"r = {r} is too large to count at n up to {size}: the table "
+                         f"would hold {bits >> 23} MiB and take {work:.1e} bit operations")
 
     def closes(u, g):
         # the walk stops at m = 0 with k = 0, and g is then the final part
@@ -499,7 +536,11 @@ def enumerate_family(n, tag, r=None, t=None):
     if tag in _SPEC:
         yield from _walk(n, *_SPEC[tag], r)
     elif tag in _PAIRS:
-        yield from _pairs(n, tag, r, t)
+        gap = _PAIRS[tag][2]
+        for s, i in _rectangles(n, tag, r, t):
+            for flat in _walk(n - s * i, *_SPEC[Family.F_R], r):
+                if gap(flat, r, i):
+                    yield RectanglePair._make(flat, s, i)
     else:
         base, decoration, allowed, _ = _DECORATED[tag]
         for lam in _walk(n, *_SPEC[base], r):
@@ -508,14 +549,13 @@ def enumerate_family(n, tag, r=None, t=None):
                     yield DecoratedPartition._make(lam, decoration, i)
 
 
-def _pairs(n, tag, r, t):
-    residue, height, gap = _PAIRS[tag]
+def _rectangles(n, tag, r, t):
+    # the rectangles (s^i) of the pair set's members of n, in listing order
+    residue, height, _ = _PAIRS[tag]
     for s in range(t, n + 1, r) if residue else (1,):
         for i in range(1, n // s + 1):
             if height(r, i):
-                for flat in _walk(n - s * i, *_SPEC[Family.F_R], r):
-                    if gap(flat, r, i):
-                        yield RectanglePair._make(flat, s, i)
+                yield s, i
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
@@ -524,9 +564,15 @@ def count(n, tag, r=None, t=None):
     tag = _validate(n, tag, r, t)
     if tag in _SPEC:
         return _read(n, *_SPEC[tag], r, False)[0]
-    if tag in _PAIRS:  # still counted by listing
+    if tag in _PAIRS:  # still counted by listing, so refused past a walk of WALK_LIMIT flats
         _countable(n)
-        return sum(1 for _ in _pairs(n, tag, r, t))
+        rectangles, gap = list(_rectangles(n, tag, r, t)), _PAIRS[tag][2]
+        walk = sum(_read(n - s * i, *_SPEC[Family.F_R], r, False)[0] for s, i in rectangles)
+        if walk > WALK_LIMIT:
+            raise ValueError(f"counting {tag.value!r} at n = {n} would list {walk} flat "
+                             f"partitions, more than {WALK_LIMIT}")
+        return sum(gap(flat, r, i) for s, i in rectangles
+                   for flat in _walk(n - s * i, *_SPEC[Family.F_R], r))
     base, _, _, size = _DECORATED[tag]
     return size(_totals(n, base, r), t)
 

@@ -169,7 +169,7 @@ class Partition(tuple):
         """Transpose of the Ferrers diagram: entry j counts parts >= j."""
         return Partition._make(_conjugate(self))
 
-    # -- membership predicates used by the family machinery ----------------
+    # -- predicates (families.is_member tests every family) ---------------
 
     def is_regular(self, r):
         """True when no part is divisible by r."""

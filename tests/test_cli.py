@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,8 +11,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beckpart import Partition, cli, families, parse_partition, partitions
+from beckpart import Partition, cli, families, parse_partition, partitions, qseries
 
 
 def run(capsys, *argv):
@@ -450,6 +453,91 @@ class TestSizeLimits:
                 assert (code, out) == (2, ""), err
                 assert f"n must be at most {families.COUNT_LIMIT}" in err
         assert time.perf_counter() - start < 1
+
+
+def _option(flag, values, present=False):
+    # the flag with one value, or (unless present) nothing
+    given = values.map(lambda v: [flag, str(v)])
+    return given if present else st.one_of(st.just([]), given)
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _junk(*words):
+    return st.sampled_from(["", "x", "-", "1.5", "--", *words])
+
+
+# Bounded values, now and then junk: n <= 30, r in 2..7, t in -1..8, degree <= 60.
+_N = st.one_of(st.integers(0, 30), st.integers(0, 30), _junk("-1"))
+_N_MAX = st.integers(-1, 30)
+_DEGREE = st.integers(-1, 60)
+_PARTITION = st.one_of(
+    st.lists(st.integers(1, 12), max_size=8).map(lambda ps: ",".join(map(str, ps))),
+    st.lists(st.integers(1, 12), max_size=8).map(lambda ps: ",".join(map(str, ps))),
+    st.text("0123456789^, x-", max_size=8))
+_COMMON = (
+    _option("--r", st.one_of(st.integers(2, 7), st.integers(2, 7), _junk("0", "1", "-2")),
+            present=True),
+    _option("--t", st.integers(-1, 8)),
+    _option("--format", st.sampled_from(["text", "json", "csv", "xml"])),
+)
+_FLAGS = {
+    "enumerate": (_option("--n", _N, present=True),
+                  _option("--family", st.sampled_from([f.value for f in families.Family])),
+                  _option("--pairset", st.sampled_from([s.value for s in families.PairSet]))),
+    "count": (_option("--n", _N), _option("--n-max", _N_MAX),
+              _option("--family", st.sampled_from([f.value for f in families.Family])),
+              _option("--pairset", st.sampled_from([s.value for s in families.PairSet]))),
+    "verify": (st.sampled_from([*cli._IDENTITIES, "series", "nope"]).map(lambda i: [i]),
+               _option("--n-max", _N_MAX), _option("--degree", _DEGREE)),
+    "bijection": (_option("--map", st.sampled_from(cli.MAPS), present=True),
+                  _option("--partition", _PARTITION, present=True),
+                  *(_option(flag, st.integers(-1, 8)) for flag in (
+                      "--mark-position", "--overline-position", "--rect-part", "--rect-count")),
+                  _switch("--trace"), _switch("--inverse")),
+    "diagram": (_option("--partition", _PARTITION, present=True),),
+    "series": (_option("--gf", st.sampled_from([*qseries.GF_NAMES, "nope"]), present=True),
+               _option("--degree", _DEGREE, present=True)),
+}
+# argv as (subcommand, flag groups): its own flags, the common ones, and now
+# and then a flag of another subcommand, an unknown flag or a stray token
+FUZZ_ARGV = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command), *_FLAGS[command], *_COMMON,
+    st.one_of(st.just([]), st.just([]), st.just([]), _switch("--bogus"),
+              _switch("stray"), _option("--gf", st.just("O_r"), present=True),
+              _option("--n", st.just(4), present=True))))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(FUZZ_ARGV, st.randoms(use_true_random=False))
+    def test_main_exits_zero_one_or_two_and_raises_nothing(self, parts, rnd):
+        command, *groups = parts
+        rnd.shuffle(groups)  # the order of flags, and of the identity, is free
+        argv = sum(groups, [command])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, why", [
+        ("count --pairset A --r 2 --n 200", "would list 7507569781 flat partitions"),
+        ("count --family Fbar --r 300 --t 1 --n 200", "r = 300 is too large to count"),
+    ])
+    def test_costly_count_is_refused_at_once(self, capsys, argv, why):
+        families.clear_caches()
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.startswith("error:") and why in err, err
+        assert "Traceback" not in err
+
+    def test_pair_count_under_the_walk_limit_answers(self, capsys):
+        assert run(capsys, "count", "--pairset", "A", "--r", "2", "--n", "60")[:2] == \
+            (0, "26939\n")
 
 
 class TestModuleEntry:

@@ -366,6 +366,28 @@ class TestTables:
                 call()
         assert builds == []
 
+    def test_every_table_up_to_r_7_passes_the_cost_limits(self, monkeypatch):
+        # The limits are checked before the first rule call, so a rule that
+        # raises shows a table would be built without building it.
+        size = families.COUNT_LIMIT
+        widths = {(rule, totals): families._width(size, rule, totals)
+                  for rule in families._RULES for totals in (False, True)}
+
+        class Passed(Exception):
+            pass
+
+        def passed(*_):
+            raise Passed
+
+        monkeypatch.setattr(families, "_RULES", dict.fromkeys(families._RULES, passed))
+        for rule, viol in set(families._SPEC.values()):
+            for totals in (False, True):
+                for r in (None,) if rule == "none" and not totals else range(2, 8):
+                    with pytest.raises(Passed):
+                        families._build(size, rule, viol, r, totals, widths[rule, totals])
+        with pytest.raises(ValueError, match="r = 8 is too large"):
+            families._build(size, "gap", 1, 8, True, widths["gap", True])
+
     def test_reads_from_a_larger_table_equal_cold_reads(self):
         def reads():
             return [(count(n, family, None if family is Family.ALL else r),

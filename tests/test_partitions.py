@@ -86,6 +86,30 @@ class TestParse:
         assert parse_partition(lam.to_plain()) == lam
         assert parse_partition(lam.to_exponential()) == lam
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        # a valid token "v" or "v^e", with the parts it stands for
+        st.tuples(st.integers(1, 30), st.integers(1, 30), st.booleans(), st.booleans()).map(
+            lambda x: (f"{' ' * x[3]}{x[0]}^{x[1]}" if x[2] or x[1] > 1 else f"{x[0]} ",
+                       [x[0]] * x[1])),
+        # junk, which may still parse ("+3", "0012") but never as anything else
+        st.one_of(st.sampled_from(["", " ", "0", "-3", "x", "^", "1^", "^2", "2^0", "3^-1",
+                                   "1.5", "1^2^3", "1^100001", "nan", "\u0663", "1 2"]),
+                  st.text("0123456789^-+ ,x", max_size=4)).map(lambda junk: (junk, None))),
+        max_size=8), st.sampled_from(["auto", "plain", "exponential"]))
+    def test_text_parses_to_its_multiset_or_raises_value_error(self, tokens, notation):
+        text = ",".join(token for token, _ in tokens)
+        try:
+            got = parse_partition(text, notation)
+        except ValueError:
+            got = None
+        if all(parts is not None for _, parts in tokens) and (
+                notation != "plain" or "^" not in text):
+            assert got == Partition(sorted(sum((parts for _, parts in tokens), []),
+                                           reverse=True)), text
+        if got is not None:
+            assert type(got) is Partition and got == Partition.from_multiset(got)
+
 
 class TestOperations:
     def test_union_fixture(self):
