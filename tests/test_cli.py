@@ -454,6 +454,22 @@ class TestSizeLimits:
                 assert f"n must be at most {families.COUNT_LIMIT}" in err
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("argv, why", [
+        ("count --pairset A --r 2 --n 200", "would list 7507569781 flat partitions"),
+        ("count --family Fbar --r 300 --t 1 --n 200", "r = 300 is too large to count"),
+    ])
+    def test_costly_count_is_refused_at_once(self, capsys, argv, why):
+        families.clear_caches()
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.startswith("error:") and why in err, err
+        assert "Traceback" not in err
+
+    def test_pair_count_under_the_walk_limit_answers(self, capsys):
+        assert run(capsys, "count", "--pairset", "A", "--r", "2", "--n", "60")[:2] == \
+            (0, "26939\n")
+
 
 def _option(flag, values, present=False):
     # the flag with one value, or (unless present) nothing
@@ -522,22 +538,6 @@ class TestFuzz:
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
-
-    @pytest.mark.parametrize("argv, why", [
-        ("count --pairset A --r 2 --n 200", "would list 7507569781 flat partitions"),
-        ("count --family Fbar --r 300 --t 1 --n 200", "r = 300 is too large to count"),
-    ])
-    def test_costly_count_is_refused_at_once(self, capsys, argv, why):
-        families.clear_caches()
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv.split())
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "") and err.startswith("error:") and why in err, err
-        assert "Traceback" not in err
-
-    def test_pair_count_under_the_walk_limit_answers(self, capsys):
-        assert run(capsys, "count", "--pairset", "A", "--r", "2", "--n", "60")[:2] == \
-            (0, "26939\n")
 
 
 class TestModuleEntry:
