@@ -152,8 +152,8 @@ _SPEC = {
 # the regular and flat totals behind Ostar and Fbar: at r = 7 each count
 # took 3.0 s in a fresh process at n = 2048, and the two tables took 16 s
 # and 14 s to build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
-# refused before any table is built.  Every count at n = 2048 peaked at
-# 65 MiB RSS, most of it transient in the plain count table's build.  A
+# refused before any table is built.  A plain-family count at n = 2048
+# peaked at 16-17 MiB RSS, and the Fbar count at r = 7 at 32 MiB.  A
 # table's cost also grows with cap = min(r, size + 1): the gap rule has
 # cap + 1 states and a totals table 3 cap + 3 slots (see TABLE_BITS).
 COUNT_LIMIT = 2048
@@ -272,8 +272,8 @@ def _build(size, rule, viol, r, totals, width):
         for seen, group in groups.items():
             for u in range(viol + 1):
                 if not totals:
-                    runs = [sum([table[(u + b) * len(gs) + after][0] >> m * c * width
-                                 for c, b in zip(longest, seen) if u + b <= viol])]
+                    runs = [sum(table[(u + b) * len(gs) + after][0] >> m * c * width
+                                for c, b in zip(longest, seen) if u + b <= viol)]
                 else:
                     runs = [0] * slots
                     parts = 0  # the sum of c times the runs of c: runs[0] summed after each c

@@ -434,6 +434,31 @@ class TestSizeLimits:
         assert done.stderr.startswith("error:") and "must be at most" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_count_at_the_limit_peaks_under_32_mib(self):
+        # The child reports its own peak.  RUSAGE_CHILDREN read here would keep
+        # the largest peak of every child this session has run, and on Linux
+        # the child's own ru_maxrss starts from this process's RSS, which
+        # fork and exec carry over, so VmHWM is read where the kernel has it.
+        pytest.importorskip("resource")
+        script = ("import resource, sys\n"
+                  "from beckpart.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "try:\n"
+                  "    peak = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+                  "                if line.startswith('VmHWM:'))\n"
+                  "except OSError:  # no procfs: ru_maxrss, in KiB (bytes on macOS)\n"
+                  "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "    peak >>= 10 if sys.platform == 'darwin' else 0\n"
+                  "print(peak, file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", script, "count", "--family", "Or", "--r", "3",
+                               "--n", "2048"], cwd=root, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0 and int(done.stdout) > 0, done.stderr
+        assert int(done.stderr) < 32 << 10, done.stderr  # KiB
+
     def test_partition_size_limit(self, capsys):
         limit = partitions.SIZE_LIMIT
         for text in (f"{limit}", f"1^{limit}", f"2^{limit // 2}"):

@@ -264,6 +264,30 @@ class TestNamedSeries:
             for t in (range(1, r) if name in ("parts_t_in_Or", "repeats_t_in_Dr") else (None,)):
                 assert gf(name, r, t, 400).coeffs == gf_oracle(name, r, t, 400), (name, t)
 
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_every_name_matches_the_kronecker_product_at_1500(self, r):
+        eta = eta_quotient(r, 1500)
+        for name in GF_NAMES:
+            family = GF_LAMBERT[name]
+            for t in (range(1, r) if name in ("parts_t_in_Or", "repeats_t_in_Dr") else (None,)):
+                expected = eta if family is None else eta * lambert_sum(
+                    family, r, None if family == "multiples" else t, 1500)
+                assert gf(name, r, t, 1500) == expected, (name, t)
+
+    def test_difference_assembles_excess_series_at_4096(self):
+        ert = gf("E_rt", 7, bound=4096)
+        for t in range(1, 7):
+            assert gf("parts_t_in_Or", 7, t, 4096) - gf("repeats_t_in_Dr", 7, t, 4096) == ert, t
+
+    def test_named_series_take_no_dense_product(self, monkeypatch):
+        def refused(self, other):
+            raise AssertionError("gf took a dense product")
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", refused)
+        for name in GF_NAMES:
+            for t in (range(1, 4) if name in ("parts_t_in_Or", "repeats_t_in_Dr") else (None,)):
+                assert gf(name, 4, t, 60).coeffs == gf_oracle(name, 4, t, 60), (name, t)
+
 
 class TestDegrees:
     @pytest.mark.parametrize("degree", [True, False, 1.0, "1", None, -1, 4])
