@@ -14,6 +14,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from heapq import nsmallest
+from itertools import compress
+from operator import ne, sub as minus
 
 from . import bijections, families, qseries, stats
 from .families import Family, PairSet
@@ -47,128 +50,135 @@ _DEFAULT_N_MAX = 30  # verify's --n-max when neither it nor --degree is given
 
 @dataclass
 class VerificationReport:
-    """Per-point pass/fail grid for one identity over (r, t, n) ranges."""
+    """Pass/fail grid for one identity over (r, t, n) ranges, kept as columns."""
 
     identity: str
     r: int
     n_max: int
     t_values: tuple
-    points: list = field(default_factory=list)  # dicts: n, r, t, lhs, rhs, status
+    # lists of (t, lhs, rhs), lhs and rhs a check's columns at n = 0..n_max;
+    # the points run block by block, and within a block for n, for each entry
+    blocks: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def record(self, n, t, lhs, rhs):
-        status = "pass" if lhs == rhs else "fail"
-        self.points.append(
-            {"n": n, "r": self.r, "t": t, "lhs": lhs, "rhs": rhs, "status": status})
+    def points(self):
+        """Every (n, t, lhs, rhs) in report order."""
+        for block in self.blocks:
+            for n in range(self.n_max + 1):
+                for t, lhs, rhs in block:
+                    yield n, t, lhs[n], rhs[n]
 
-    @property
     def failures(self):
-        return [p for p in self.points if p["status"] == "fail"]
+        """The failing (n, t, lhs, rhs), a column at a time."""
+        return ((n, t, lhs[n], rhs[n]) for block in self.blocks for t, lhs, rhs in block
+                for n in compress(range(self.n_max + 1), map(ne, lhs, rhs)))
 
     @property
     def passed(self):
-        return not self.failures
+        return next(self.failures(), None) is None
 
     def to_text(self):
+        # the first 20 failures by (n, t), t-free checks first: the smallest
+        # failing point leads
+        total = sum(map(len, self.blocks)) * (self.n_max + 1)
+        failed = sum(1 for _ in self.failures())
         lines = [
             f"verify {self.identity}: r={self.r}, n<= {self.n_max}, "
             f"t in {list(self.t_values) if self.t_values else '-'}: "
-            f"{len(self.points) - len(self.failures)}/{len(self.points)} comparisons pass "
-            f"({self.elapsed:.2f}s)"
+            f"{total - failed}/{total} comparisons pass ({self.elapsed:.2f}s)"
         ]
-        for p in self.failures[:20]:
-            lines.append(
-                f"  FAIL n={p['n']} r={p['r']} t={p['t']}: {p['lhs']} != {p['rhs']}")
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more failures")
+        for n, t, lhs, rhs in nsmallest(20, self.failures(), key=lambda p: (p[0], p[1] or 0)):
+            lines.append(f"  FAIL n={n} r={self.r} t={t}: {lhs} != {rhs}")
+        if failed > 20:
+            lines.append(f"  ... and {failed - 20} more failures")
         return "\n".join(lines)
 
     def to_json(self):
+        points = [{"n": n, "r": self.r, "t": t, "lhs": lhs, "rhs": rhs,
+                   "status": "pass" if lhs == rhs else "fail"} for n, t, lhs, rhs in self.points()]
         return json.dumps({
             "identity": self.identity, "r": self.r, "n_max": self.n_max,
             "t_values": list(self.t_values), "passed": self.passed,
-            "elapsed": self.elapsed, "points": self.points,
+            "elapsed": self.elapsed, "points": points,
         }, indent=2)
 
     def to_csv(self):
         lines = ["n,r,t,lhs,rhs,status"]
-        for p in self.points:
-            t = "" if p["t"] is None else p["t"]
-            lines.append(f"{p['n']},{p['r']},{t},{p['lhs']},{p['rhs']},{p['status']}")
+        for n, t, lhs, rhs in self.points():
+            lines.append(f"{n},{self.r},{'' if t is None else t},{lhs},{rhs},"
+                         f"{'pass' if lhs == rhs else 'fail'}")
         return "\n".join(lines)
 
     def render(self, fmt):
         return {"text": self.to_text, "json": self.to_json, "csv": self.to_csv}[fmt]()
 
 
+# A side is a column: a function of (n_max, r, t) giving its values at
+# n = 0..n_max, which looks up its module function when called, so a patched
+# module attribute is seen; a tuple (op, a, b) is op of sides a and b, value
+# by value.  t is None in a check that does not run per t.
 def _count(family):
-    return lambda n, r, t: families.count(n, family, r)
+    return lambda n_max, r, t: families.counts(n_max, family, r)
 
 
-# identity -> its checks in report order, each (per t, lhs, rhs).  A side is a
-# function of (n, r, t) that looks up its module function when called, so a
-# patched module attribute is seen.  The report runs: for n, for each check,
-# for each t if the check is per t (else t = None).
+def _stats(name):
+    return lambda n_max, r, t: stats.column(name, n_max, r, t)
+
+
+def _gf(name):
+    return lambda n_max, r, t: qseries.gf(name, r, t, n_max).coeffs
+
+
+def _lambert(family):
+    return lambda n_max, r, t: qseries.lambert_sum(family, r, t, n_max).coeffs
+
+
+_PARTS, _REPEATS, _ERT = _gf("parts_t_in_Or"), _gf("repeats_t_in_Dr"), _gf("E_rt")
+
+# identity -> (its route, then its checks in report order, each (per t, lhs,
+# rhs)).  The count route's points run for n, for each check, for each t if
+# the check is per t (else t = None).  The series route's points run
+# t-outer: the t-free checks for every n, then for each t its checks for
+# every n.  Only the series route takes --degree.
 _IDENTITIES = {
-    "beck3": ((True, lambda n, r, t: stats.excess_Ert(n, r, t), _count(Family.O_1R)),
+    "beck3": ("count", (True, _stats("excess_Ert"), _count(Family.O_1R)),
               (False, _count(Family.O_1R), _count(Family.D_1R))),
-    "beck1": ((False, lambda n, r, t: stats.beck_b(n, r),
-               lambda n, r, t: (r - 1) * families.count(n, Family.O_1R, r)),
-              (False, lambda n, r, t: stats.beck_b(n, r),
-               lambda n, r, t: sum(stats.excess_Ert(n, r, u) for u in range(1, r)))),
-    "beck2": ((False, lambda n, r, t: stats.beck_b_prime(n, r), _count(Family.T_R)),),
-    "glaisher": ((False, _count(Family.O_R), _count(Family.D_R)),
+    "beck1": ("count", (False, _stats("beck_b"), lambda n_max, r, t: [
+                  (r - 1) * c for c in families.counts(n_max, Family.O_1R, r)]),
+              (False, _stats("beck_b"), lambda n_max, r, t: list(map(sum, zip(*(
+                  stats.column("excess_Ert", n_max, r, u) for u in range(1, r))))))),
+    "beck2": ("count", (False, _stats("beck_b_prime"), _count(Family.T_R)),),
+    "glaisher": ("count", (False, _count(Family.O_R), _count(Family.D_R)),
                  (False, _count(Family.D_R), _count(Family.F_R))),
+    "series": ("series", (False, _gf("O_r"), _count(Family.O_R)),
+               (False, _gf("O_1r"), _count(Family.O_1R)),
+               (True, _PARTS, _stats("total_residue_parts")),
+               (True, _REPEATS, _stats("total_repeated_values")),
+               (True, _ERT, _stats("excess_Ert")),
+               (True, _lambert("progression"), _lambert("mixed")),
+               (True, (minus, _PARTS, _REPEATS), _ERT)),
 }
 
 
-def _largest_first(n_max, row):
-    # row(n) for n = 0..n_max, worked out from n_max down: a count table
-    # holds every n up to its size, so asking for the largest n first builds
-    # one table per family for the whole sweep
-    return reversed([row(n) for n in range(n_max, -1, -1)])
+def _check(report):
+    # each side's column at each t, worked out once per report
+    route, *checks = _IDENTITIES[report.identity]
+    memo = {}
 
+    def column(side, t):
+        if (side, t) not in memo:
+            values = (side(report.n_max, report.r, t) if callable(side) else
+                      list(map(side[0], column(side[1], t), column(side[2], t))))
+            if len(values) != report.n_max + 1:  # a short column would pass unchecked
+                raise ValueError(f"a side of verify {report.identity} gave {len(values)} "
+                                 f"values for n = 0..{report.n_max}")
+            memo[side, t] = values
+        return memo[side, t]
 
-def _check_counts(report):
-    r = report.r
-
-    def row(n):
-        return [(t, lhs(n, r, t), rhs(n, r, t))
-                for per_t, lhs, rhs in _IDENTITIES[report.identity]
-                for t in (report.t_values if per_t else (None,))]
-
-    for n, points in enumerate(_largest_first(report.n_max, row)):
-        for point in points:
-            report.record(n, *point)
-
-
-def _check_series(report):
-    # each series is built once per t, so the points run t-outer
-    r, bound = report.r, report.n_max
-    eta = qseries.gf("O_r", r, bound=bound).coeffs
-    o1 = qseries.gf("O_1r", r, bound=bound).coeffs
-    ert = qseries.gf("E_rt", r, bound=bound).coeffs
-    counts = _largest_first(bound, lambda n: (families.count(n, Family.O_R, r),
-                                              families.count(n, Family.O_1R, r)))
-    for n, (regular, one) in enumerate(counts):
-        report.record(n, None, eta[n], regular)
-        report.record(n, None, o1[n], one)
-    for t in report.t_values:
-        parts = qseries.gf("parts_t_in_Or", r, t, bound)
-        repeats = qseries.gf("repeats_t_in_Dr", r, t, bound)
-        lam_prog = qseries.lambert_sum("progression", r, t, bound).coeffs
-        lam_mixed = qseries.lambert_sum("mixed", r, t, bound).coeffs
-        difference = (parts - repeats).coeffs
-        parts, repeats = parts.coeffs, repeats.coeffs
-        totals = _largest_first(bound, lambda n: (stats.total_residue_parts(n, r, t),
-                                                  stats.total_repeated_values(n, r, t),
-                                                  stats.excess_Ert(n, r, t)))
-        for n, (residue, repeated, excess) in enumerate(totals):
-            report.record(n, t, parts[n], residue)
-            report.record(n, t, repeats[n], repeated)
-            report.record(n, t, ert[n], excess)
-            report.record(n, t, lam_prog[n], lam_mixed[n])
-            report.record(n, t, difference[n], ert[n])
+    runs = [(t, column(lhs, t), column(rhs, t)) for per_t, lhs, rhs in checks
+            for t in (report.t_values if per_t else (None,))]
+    report.blocks = ([[run for run in runs if run[0] == t] for t in (None, *report.t_values)]
+                     if route == "series" else [runs])
 
 
 def _element_json(x):
@@ -235,10 +245,9 @@ def _cmd_count(args, out):
         raise ValueError("count needs exactly one of --n / --n-max")
     _check_n_max(args)
 
-    def row(n):
-        return n, families.count(n, args.family or args.pairset, args.r, args.t)
-
-    rows = [row(args.n)] if args.n_max is None else list(_largest_first(args.n_max, row))
+    tag = args.family or args.pairset
+    rows = ([(args.n, families.count(args.n, tag, args.r, args.t))] if args.n_max is None
+            else list(enumerate(families.counts(args.n_max, tag, args.r, args.t))))
     if args.format == "json":
         print(json.dumps({str(n): c for n, c in rows}), file=out)
     elif args.format == "csv":
@@ -317,11 +326,11 @@ def _cmd_series(args, out):
 
 def _cmd_verify(args, out):
     _check_n_max(args)
-    series = args.identity == "series"
-    takes_t = series or any(per_t for per_t, _, _ in _IDENTITIES[args.identity])
+    route, *checks = _IDENTITIES[args.identity]
+    takes_t = any(per_t for per_t, _, _ in checks)
     if args.t is not None and not takes_t:
         raise ValueError(f"verify {args.identity} does not take --t")
-    if args.degree is not None and not series:
+    if args.degree is not None and route != "series":
         raise ValueError(f"verify {args.identity} does not take --degree")
     if args.degree is not None and args.n_max is not None:
         raise ValueError("--n-max is not used: --degree sets the bound of verify series")
@@ -330,7 +339,7 @@ def _cmd_verify(args, out):
         _DEFAULT_N_MAX if args.n_max is None else args.n_max)
     report = VerificationReport(args.identity, args.r, n_max, t_values)
     start = time.perf_counter()
-    (_check_series if series else _check_counts)(report)
+    _check(report)
     report.elapsed = time.perf_counter() - start
     print(report.render(args.format), file=out)
     return 0 if report.passed else 1
@@ -363,7 +372,7 @@ def build_parser():
     p.add_argument("--pairset", choices=[s.value for s in PairSet])
 
     p = sub.add_parser("verify", help="check an identity over a grid and report")
-    p.add_argument("identity", choices=(*_IDENTITIES, "series"))
+    p.add_argument("identity", choices=tuple(_IDENTITIES))
     common(p, ("text", "json", "csv"))
     p.add_argument("--n-max", type=int, dest="n_max", default=None,
                    help=f"largest n checked (default {_DEFAULT_N_MAX})")

@@ -14,7 +14,8 @@ Decorated families attach one mark or overline to a member of a plain base
 family, and the pair sets couple an r-flat partition with a rectangle.
 
 Every family and pair set has one lister, ``enumerate_family``, one counter,
-``count``, and one membership test, ``is_member``; each takes a ``Family``
+``count`` (``counts`` for n = 0..n_max at once), and one membership test,
+``is_member``; each takes a ``Family``
 or ``PairSet`` tag and reads that tag's one table entry (``_SPEC``,
 ``_DECORATED`` or ``_PAIRS``).  ``enumerate_pairs`` and ``count_pairs`` are
 the same functions under the names the pair sets had.  Only this module
@@ -31,13 +32,14 @@ Counts and statistic totals read the spec through a largest-value
 recurrence: each value m, from the largest down, is skipped or taken c
 times.  Its table keeps one integer per statistic with one block of bits
 per size k, so a run of m is one shift of each integer.  One table per
-family is kept, the largest built, and serves every n up to its size; n
-past ``COUNT_LIMIT`` and a table past ``TABLE_BITS`` or ``TABLE_WORK`` (r
-close to n) are refused before anything is built.  Family counts are never
-listings and never come from ``qseries``.  Pair sets are still counted by
-listing, under the same limit, and a pair count that would walk more than
-``WALK_LIMIT`` flat partitions, as the flat count table tells, is refused
-before listing.
+family is kept, the largest built, cut into one column per statistic, and
+serves every n up to its size: a read of one n or of a range of n is a
+slice.  n past ``COUNT_LIMIT`` and a table past ``TABLE_BITS`` or
+``TABLE_WORK`` (r close to n) are refused before anything is built.
+Family counts are never listings and never come from ``qseries``.  Pair
+sets are still counted by listing, under the same limit, and a pair count
+that would walk more than ``WALK_LIMIT`` flat partitions, as the flat count
+table tells, is refused before listing.
 
 Every decorated family and every pair set is one table entry as well: a
 base family with a rule for the positions that may carry the decoration,
@@ -142,10 +144,14 @@ _SPEC = {
 # right shift that drops whatever passes size.  The table is built by a
 # loop over m = 1..size that adds each run (m, c), longest first, as one
 # shift and one add per slot: about size * ln(size) runs per state and
-# slot, each over at most size * width bits, and no recursion.  One holder
-# per (rule, violations, r, totals) keeps the largest table built.  Sizes
-# are powers of two from 16 up and a table serves every n up to its size,
-# so a sweep that asks for its largest n first builds one table per family.
+# slot, each over at most size * width bits, and no recursion.  Once built,
+# only the slots of the start state (used = 0, g = 0) are kept, each cut
+# into one column of its values at k = 0..size.  One holder per (rule,
+# violations, r, totals) keeps the columns of the largest table built, and
+# every read, of one n or of a range, is a slice of them.  A table is built
+# at the n asked for, but at least 16 and at least twice the held size, and
+# never past COUNT_LIMIT: a sweep that reads 0..n_max builds one table per
+# spec at size n_max, and a run of rising n rebuilds O(log n) times.
 # ---------------------------------------------------------------------------
 
 # The largest n counted.  The costliest tables a count builds at r <= 7 are
@@ -185,35 +191,49 @@ def _countable(n):
         raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
 
 
-def _size(n):
-    # the size of the table that holds n: the least power of two >= n, and
-    # at least 16, below which a table costs little more than its set-up
-    return max(1 << (n - 1).bit_length(), 16)
+def _size(n, held):
+    # the size of the table built to hold n past the held size: n itself,
+    # at least 16, below which a table costs little more than its set-up,
+    # and at least twice the held size, so that rising n rebuild a
+    # logarithmic number of times; never past COUNT_LIMIT, which n is not
+    return min(max(n, 16, 2 * held), COUNT_LIMIT)
 
 
 @lru_cache(maxsize=None)
 def _held(rule, viol, r, totals):
-    # the largest table built for the spec so far, as [size, width, states]
-    return [-1, 0, None]
+    # the largest table built for the spec so far, as [size, columns]
+    return [-1, None]
 
 
 def _table(n, rule, viol, r, totals):
-    # (size, width, states) of a table that holds n; a larger one replaces
-    # the held table only once it is built
+    # the columns of a table that holds n, one per slot of the start state;
+    # a larger one replaces the held table only once it is built
     held = _held(rule, viol, r, totals)
     if n > held[0]:
         _countable(n)
-        size = _size(n)
+        size = _size(n, held[0])
         width = _width(size, rule, totals)
-        held[:] = size, width, _build(size, rule, viol, r, totals, width)
-    return held
+        start = _build(size, rule, viol, r, totals, width)[0]
+        held[:] = size, [_blocks(x, size, width) for x in start]
+    return held[1]
 
 
-def _read(n, rule, viol, r, totals):
-    # the slots of the completions of the state (k = n, m = size, 0, 0)
-    size, width, states = _table(n, rule, viol, r, totals)
-    shift, mask = (size - n) * width, (1 << width) - 1
-    return [x >> shift & mask for x in states[0]]
+def _blocks(x, size, width):
+    # the width-bit blocks of x at k = 0..size, block k at bit (size - k) *
+    # width.  A small table is cut by shifts, each O(size * width); a large
+    # one through one binary string, so the cut stays linear in its bits.
+    if size < 256:
+        mask = (1 << width) - 1
+        return [x >> (size - k) * width & mask for k in range(size + 1)]
+    bits = format(x, f"0{(size + 1) * width}b")
+    return [int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
+def _read(lo, hi, rule, viol, r):
+    # the count of the completions of the states (k = n, m = size, 0, 0) at
+    # n = lo..hi, as a list: a slice of the held count table (_stat reads
+    # the totals tables)
+    return _table(hi, rule, viol, r, False)[0][lo:hi + 1]
 
 
 def _width(size, rule, totals):
@@ -226,7 +246,7 @@ def _width(size, rule, totals):
     # k <= 4096).
     if rule == "none" and not totals:
         return 4 * isqrt(size) + 4
-    p = _read(size, "none", 0, None, False)[0]
+    p = _read(size, size, "none", 0, None)[0]
     return ((size + 1) * p if totals else p).bit_length()
 
 
@@ -305,6 +325,33 @@ def _build(size, rule, viol, r, totals, width):
 _Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
 
 
+def _cap(columns, rule):
+    # the r-slots a totals table keeps per statistic: min(r, size + 1)
+    return (len(columns) - 3) // (3 if rule == "gap" else 2)
+
+
+def _stat(lo, hi, family, r, stat, t=None):
+    # One totals statistic of the plain family at n = lo..hi, as a list: the
+    # count, parts or distinct values, or at residue t the parts congruent
+    # to t, the values repeated at least t times or the gaps (final part
+    # included) at least t.  Each is one slot of the totals table, or for
+    # repeats and gaps the sum of its histogram's slots from t up; slots
+    # past cap = min(r, size + 1) are not kept and read 0, as does t = 0
+    # for repeats and gaps.
+    rule, viol = _SPEC[family]
+    columns = _table(hi, rule, viol, r, True)
+    i = _Totals._fields.index(stat)
+    if i < 3:
+        picked = columns[i:i + 1]
+    else:
+        cap = _cap(columns, rule)
+        # slot j of the block: the parts of residue j, or the runs (gaps) of
+        # min(c, cap - 1) = j
+        block = columns[3 + (i - 3) * cap:][:cap]
+        picked = block[t:t + 1] if stat == "residue" else block[t:] if t else []
+    return list(map(sum, zip(*(c[lo:hi + 1] for c in picked)))) or [0] * (hi - lo + 1)
+
+
 @lru_cache(maxsize=None, typed=True)  # typed, as count: a bool n must miss and fail
 def _totals(n, family, r):
     """Statistic totals over a plain family of n.
@@ -316,15 +363,16 @@ def _totals(n, family, r):
     """
     family = _validate(n, family, r, None)
     rule, viol = _SPEC[family]
-    s = _read(n, rule, viol, r, True)
-    cap = (len(s) - 3) // (3 if rule == "gap" else 2)  # the r-slots kept, min(r, size + 1)
+    cap = _cap(_table(n, rule, viol, r, True), rule)
 
-    def at_least(hist):  # slots past cap read 0
-        return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
+    def stat(name, t=None):
+        return _stat(n, n, family, r, name, t)[0]
 
-    return _Totals(s[0], s[1], s[2], tuple(s[3:3 + cap]) + (0,) * (r - cap),
-                   at_least(s[3 + cap:3 + 2 * cap]),
-                   at_least(s[3 + 2 * cap:]) if rule == "gap" else None)
+    def by_t(name):  # t past cap reads 0
+        return tuple(stat(name, t) for t in range(cap)) + (0,) * (r - cap)
+
+    return _Totals(stat("count"), stat("parts"), stat("distinct"), by_t("residue"),
+                   by_t("repeats"), by_t("steep") if rule == "gap" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +611,12 @@ def count(n, tag, r=None, t=None):
     """Number of members of the family or pair set; matches the enumeration exactly."""
     tag = _validate(n, tag, r, t)
     if tag in _SPEC:
-        return _read(n, *_SPEC[tag], r, False)[0]
+        return _read(n, n, *_SPEC[tag], r)[0]
     if tag in _PAIRS:  # still counted by listing, so refused past a walk of WALK_LIMIT flats
         _countable(n)
         rectangles, gap = list(_rectangles(n, tag, r, t)), _PAIRS[tag][2]
-        walk = sum(_read(n - s * i, *_SPEC[Family.F_R], r, False)[0] for s, i in rectangles)
+        flats = _read(0, n, *_SPEC[Family.F_R], r)
+        walk = sum(flats[n - s * i] for s, i in rectangles)
         if walk > WALK_LIMIT:
             raise ValueError(f"counting {tag.value!r} at n = {n} would list {walk} flat "
                              f"partitions, more than {WALK_LIMIT}")
@@ -575,6 +624,19 @@ def count(n, tag, r=None, t=None):
                    for flat in _walk(n - s * i, *_SPEC[Family.F_R], r))
     base, _, _, size = _DECORATED[tag]
     return size(_totals(n, base, r), t)
+
+
+def counts(n_max, tag, r=None, t=None):
+    """``count(n, tag, r, t)`` for n = 0..n_max, as a list.
+
+    A plain family is one read of its count table.  Any other set is
+    counted n by n, the largest n first, so a size refused is refused
+    before anything else is counted.
+    """
+    tag = _validate(n_max, tag, r, t)
+    if tag in _SPEC:
+        return _read(0, n_max, *_SPEC[tag], r)
+    return [count(n, tag, r, t) for n in range(n_max, -1, -1)][::-1]
 
 
 def is_member(x, tag, r, t=None):

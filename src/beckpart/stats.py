@@ -16,9 +16,10 @@ aggregate excess never is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
-from .families import Family, _totals
-from .partitions import Partition, _check_residue
+from .families import Family, _stat, _validate
+from .partitions import Partition, _check_residue, _check_takes_t
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,50 @@ def stat_report(lam, r, t):
     )
 
 
+# aggregate -> the family statistic it sums, and the one it subtracts or
+# None, each (family, statistic); one that reads residue, repeats or steep
+# reads them at its residue t and takes t
+_AGGREGATES = {
+    "total_residue_parts": ((Family.O_R, "residue"), None),
+    "total_repeated_values": ((Family.D_R, "repeats"), None),
+    "excess_Ert": ((Family.O_R, "residue"), (Family.D_R, "repeats")),
+    "excess_Ert_flat": ((Family.F_R, "residue"), (Family.F_R, "steep")),
+    "beck_b": ((Family.O_R, "parts"), (Family.D_R, "parts")),
+    "beck_b_prime": ((Family.D_R, "distinct"), (Family.O_R, "distinct")),
+}
+
+
+def _aggregate(name, lo, hi, r, t):
+    # the aggregate at n = lo..hi, each family statistic one slice of its table
+    plus, minus = _AGGREGATES[name]
+    _check_takes_t(name, r, t, plus[1] in ("residue", "repeats"))
+    _validate(hi, plus[0], r, None)
+    column = _stat(lo, hi, plus[0], r, plus[1], t)
+    if minus is not None:
+        column = list(map(sub, column, _stat(lo, hi, minus[0], r, minus[1], t)))
+    return column
+
+
+def column(name, n_max, r, t=None):
+    """One aggregate of this module at n = 0..n_max, as a list.
+
+    ``name`` is the name of the function (``excess_Ert``, ``beck_b``, ...),
+    and t is given exactly when that function takes it.  Each family
+    statistic is read once, as one slice of its count table, not once per n.
+    """
+    if name not in _AGGREGATES:
+        raise ValueError(f"unknown aggregate {name!r}; expected one of {tuple(_AGGREGATES)}")
+    return _aggregate(name, 0, n_max, r, t)
+
+
 def total_residue_parts(n, r, t):
     """Sum of ell_t over the r-regular partitions of n."""
-    _check_residue(r, t)
-    return _totals(n, Family.O_R, r).residue[t]
+    return _aggregate("total_residue_parts", n, n, r, t)[0]
 
 
 def total_repeated_values(n, r, t):
     """Sum of ell_bar_t over the multiplicity-bounded partitions of n."""
-    _check_residue(r, t)
-    return _totals(n, Family.D_R, r).repeats[t]
+    return _aggregate("total_repeated_values", n, n, r, t)[0]
 
 
 def excess_Ert(n, r, t):
@@ -62,22 +97,19 @@ def excess_Ert(n, r, t):
     Computed over the r-regular and multiplicity-bounded families of n
     respectively; always equals the one-violation family sizes.
     """
-    _check_residue(r, t)
-    return _totals(n, Family.O_R, r).residue[t] - _totals(n, Family.D_R, r).repeats[t]
+    return _aggregate("excess_Ert", n, n, r, t)[0]
 
 
 def excess_Ert_flat(n, r, t):
     """The same excess computed over the r-flat family alone (ell_t - d_t)."""
-    _check_residue(r, t)
-    flat = _totals(n, Family.F_R, r)
-    return flat.residue[t] - flat.steep[t]
+    return _aggregate("excess_Ert_flat", n, n, r, t)[0]
 
 
 def beck_b(n, r):
     """Total parts over the r-regular family minus total parts over the bounded one."""
-    return _totals(n, Family.O_R, r).parts - _totals(n, Family.D_R, r).parts
+    return _aggregate("beck_b", n, n, r, None)[0]
 
 
 def beck_b_prime(n, r):
     """Total distinct values over the bounded family minus over the regular one."""
-    return _totals(n, Family.D_R, r).distinct - _totals(n, Family.O_R, r).distinct
+    return _aggregate("beck_b_prime", n, n, r, None)[0]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -342,9 +343,56 @@ class TestVerify:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         # force a wrong value through to exercise the failure path
-        monkeypatch.setattr(cli.stats, "beck_b_prime", lambda n, r: -1)
+        monkeypatch.setattr(cli.stats, "column", lambda name, n_max, r, t=None: [-1] * (n_max + 1))
         code, out, _ = run(capsys, "verify", "beck2", "--r", "2", "--n-max", "2")
         assert code == 1 and "FAIL" in out
+
+    def test_short_column_is_a_usage_error(self, capsys, monkeypatch):
+        # a side with too few values must not pass by comparing fewer points
+        monkeypatch.setattr(cli.stats, "column", lambda name, n_max, r, t=None: [0] * n_max)
+        code, out, err = run(capsys, "verify", "beck2", "--r", "2", "--n-max", "4")
+        assert (code, out) == (2, "") and "gave 4 values for n = 0..4" in err
+
+    @staticmethod
+    def first_failure(out):
+        fails = [line.split() for line in out.splitlines() if line.startswith("  FAIL")]
+        return fails[0][1:4] if fails else None
+
+    def test_count_route_names_the_smallest_failure_first(self, capsys, monkeypatch):
+        # the O1r count off by one at n = 9, which fails both checks at every
+        # t, and the D1r count at n = 6, which fails the t-free check only
+        counts = families.counts
+
+        def faulty(n_max, tag, r=None, t=None):
+            column = counts(n_max, tag, r, t)
+            wrong = {families.Family.O_1R: (9,), families.Family.D_1R: (6,)}.get(tag, ())
+            return [c + (n in wrong) for n, c in enumerate(column)]
+
+        monkeypatch.setattr(cli.families, "counts", faulty)
+        code, out, _ = run(capsys, "verify", "beck3", "--r", "4", "--n-max", "12")
+        assert code == 1
+        assert self.first_failure(out) == ["n=6", "r=4", "t=None:"]
+
+    def test_series_route_names_the_smallest_failure_first(self, capsys, monkeypatch):
+        # the mixed Lambert sum off by one at n = 9 for t = 1 and n = 4 for
+        # t = 3: the report's points run t-outer, so n = 9 comes first there
+        lambert_sum = qseries.lambert_sum
+
+        def faulty(family, r, t=None, bound=0):
+            series = lambert_sum(family, r, t, bound)
+            wrong = {1: 9, 3: 4}.get(t) if family == "mixed" else None
+            if wrong is None or wrong > bound:
+                return series
+            return series + qseries.TruncatedSeries.monomial(bound, wrong)
+
+        monkeypatch.setattr(cli.qseries, "lambert_sum", faulty)
+        code, out, _ = run(capsys, "verify", "series", "--r", "4", "--n-max", "12")
+        assert code == 1 and out.count("FAIL") == 2
+        assert self.first_failure(out) == ["n=4", "r=4", "t=3:"]
+        _, csv_out, _ = run(capsys, "verify", "series", "--r", "4", "--n-max", "12",
+                            "--format", "csv")
+        fails = [line for line in csv_out.splitlines() if line.endswith(",fail")]
+        assert [line.split(",")[:3] for line in fails] == [["9", "4", "1"], ["4", "4", "3"]]
 
     def test_negative_n_max_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "beck3", "--r", "3", "--n-max", "-1")
@@ -400,6 +448,40 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    # sha256 prefix, per identity and format, of the verify outputs over the
+    # grid below (elapsed time masked), recorded before the checks were read
+    # as columns: text, json and csv stay byte-identical
+    GRID_DIGESTS = {
+        "beck3": ("cf70032cda49ae6b", "13d33a713cb7f75f", "049ecc85ae0a372d"),
+        "beck1": ("ef432d8065c1e535", "76918641725fdc0d", "ead461c5c7d6ea9c"),
+        "beck2": ("2c174d706f43c696", "b8d4f2839596b2e0", "7256bb9e4c0694b8"),
+        "glaisher": ("86245dc9aac2edf3", "54839a1dfc30bf81", "c59160ddcaaa9d32"),
+        "series": ("8347dac1a0538bd2", "79016ea3d595b23e", "db8a7adc4950ec3f"),
+    }
+
+    @staticmethod
+    def grid(identity):
+        # r = 2..7, n_max in {0, 1, 5, 22, 60}, and every --t where it is taken
+        for r in range(2, 8):
+            for n_max in (0, 1, 5, 22, 60):
+                argv = [identity, "--r", str(r), "--n-max", str(n_max)]
+                yield argv
+                if identity in ("beck3", "series"):
+                    for t in range(1, r):
+                        yield argv + ["--t", str(t)]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("identity", list(GRID_DIGESTS))
+    def test_output_over_the_grid_is_pinned(self, capsys, identity, fmt):
+        digest = hashlib.sha256()
+        for argv in self.grid(identity):
+            code, out, _ = run(capsys, "verify", *argv, "--format", fmt)
+            out = re.sub(r"\(\d+\.\d\ds\)$", "(-s)", out, flags=re.M)
+            out = re.sub(r'"elapsed": [^,\n]+', '"elapsed": 0', out)
+            digest.update(f"{' '.join(argv)} -> {code}\n{out}".encode())
+        fmts = ("text", "json", "csv")
+        assert digest.hexdigest()[:16] == self.GRID_DIGESTS[identity][fmts.index(fmt)]
+
     def test_usage_error_exits_two(self, capsys):
         assert run(capsys, "verify", "nonsense", "--r", "2")[0] == 2
         assert run(capsys, "count", "--family", "Or", "--n", "4")[0] == 2  # missing --r
@@ -434,7 +516,8 @@ class TestSizeLimits:
         assert done.stderr.startswith("error:") and "must be at most" in done.stderr
         assert "Traceback" not in done.stderr
 
-    def test_count_at_the_limit_peaks_under_32_mib(self):
+    @staticmethod
+    def peak_kib(*argv):
         # The child reports its own peak.  RUSAGE_CHILDREN read here would keep
         # the largest peak of every child this session has run, and on Linux
         # the child's own ru_maxrss starts from this process's RSS, which
@@ -453,11 +536,21 @@ class TestSizeLimits:
                   "sys.exit(code)\n")
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        done = subprocess.run([sys.executable, "-c", script, "count", "--family", "Or", "--r", "3",
-                               "--n", "2048"], cwd=root, env=env, capture_output=True, text=True,
-                              timeout=60)
-        assert done.returncode == 0 and int(done.stdout) > 0, done.stderr
-        assert int(done.stderr) < 32 << 10, done.stderr  # KiB
+        done = subprocess.run([sys.executable, "-c", script, *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, int(done.stderr)
+
+    def test_count_at_the_limit_peaks_under_32_mib(self):
+        out, peak = self.peak_kib("count", "--family", "Or", "--r", "3", "--n", "2048")
+        assert int(out) > 0
+        assert peak < 32 << 10, peak  # KiB
+
+    def test_verify_at_a_wide_modulus_peaks_under_50_mib(self):
+        # r - 1 = 19999 residues t, each with two columns of 31 values
+        out, peak = self.peak_kib("verify", "beck3", "--r", "20000", "--n-max", "30")
+        assert out.startswith("verify beck3: r=20000") and " 620000/620000 " in out
+        assert peak < 50 << 10, peak  # KiB
 
     def test_partition_size_limit(self, capsys):
         limit = partitions.SIZE_LIMIT

@@ -151,6 +151,22 @@ def test_count_matches_enumeration_for_every_family():
                         len(list(enumerate_family(n, family, rr, t))), (n, family, rr, t)
 
 
+def test_counts_are_the_counts_of_each_n():
+    # a plain family from one read of a fresh table, any other set n by n
+    for r in (2, 3, 5):
+        for tag in (*Family, *PairSet):
+            ts = range(1, r) if tag in families._NEEDS_T else (None,)
+            for t in ts:
+                rr = None if tag is Family.ALL else r
+                families.clear_caches()
+                got = families.counts(18, tag, rr, t)
+                assert got == [count(n, tag, rr, t) for n in range(19)], (tag, r, t)
+    with pytest.raises(ValueError, match="at most"):
+        families.counts(families.COUNT_LIMIT + 1, Family.O_R, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        families.counts(True, Family.O_R, 3)
+
+
 def test_is_member_matches_filter_oracle():
     for r in range(2, 7):
         for n in range(0, 19):
@@ -404,6 +420,40 @@ class TestTables:
         assert {families._held(*families._SPEC[family], r, totals)[0]
                 for r in range(2, 7) for family in PLAIN for totals in (False, True)} == {1024}
         assert reads() == cold
+
+    def test_rising_reads_grow_the_tables_within_the_limit(self):
+        # A plain count table and a totals table read cold at 1500, then at
+        # 1600 and 2048: the second read builds at min(2 * 1500, COUNT_LIMIT)
+        # and the third reads that table.  Each read equals a cold read.
+        specs = [(*families._SPEC[Family.O_1R], 2, False), (*families._SPEC[Family.D_R], 2, True),
+                 ("none", 0, None, False)]
+
+        def read(n):
+            return count(n, Family.O_1R, 2), families._totals(n, Family.D_R, 2)
+
+        families.clear_caches()
+        rising, sizes = [], []
+        for n in (1500, 1600, 2048):
+            rising.append(read(n))
+            sizes.append([families._held(*spec)[0] for spec in specs])
+        assert max(map(max, sizes)) <= families.COUNT_LIMIT
+        assert sizes == [[1500] * 3, [2048] * 3, [2048] * 3]
+        for n, got in zip((1600, 2048), rising[1:]):  # the read at 1500 was cold
+            families.clear_caches()
+            assert read(n) == got, n
+
+    def test_totals_at_a_wide_modulus_read_only_the_kept_slots(self, monkeypatch):
+        # a size-30 table keeps min(r, 31) r-slots per statistic; the other
+        # r - 31 entries of each tuple are 0 and are not read one by one
+        families.clear_caches()
+        calls = []
+        stat = families._stat
+        monkeypatch.setattr(families, "_stat", lambda *args: calls.append(args) or stat(*args))
+        totals = families._totals(30, Family.O_R, 20000)
+        assert len(totals.residue) == len(totals.repeats) == 20000
+        assert totals.residue[31:] == totals.repeats[31:] == (0,) * (20000 - 31)
+        assert totals.residue[1] == count(30, Family.O_STAR, 20000, 1)
+        assert len(calls) == 3 + 2 * 31
 
     def test_a_cold_sweep_builds_one_table_per_spec(self, builds, capsys):
         families.clear_caches()

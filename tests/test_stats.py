@@ -2,7 +2,7 @@
 
 import pytest
 
-from beckpart import families
+from beckpart import families, stats
 from beckpart import (
     Family,
     Partition,
@@ -134,6 +134,30 @@ class TestAggregates:
                 for t in range(1, r):
                     assert total_residue_parts(n, r, t) == count(n, Family.O_STAR, r, t)
                     assert total_repeated_values(n, r, t) == count(n, Family.F_BAR, r, t)
+
+
+class TestColumns:
+    SCALARS = {f.__name__: f for f in (total_residue_parts, total_repeated_values, excess_Ert,
+                                       excess_Ert_flat, beck_b, beck_b_prime)}
+
+    def test_columns_are_the_aggregates_of_each_n(self):
+        for r in (2, 3, 5, 40):
+            for name, scalar in self.SCALARS.items():
+                takes_t = name not in ("beck_b", "beck_b_prime")
+                for t in range(1, min(r, 6)) if takes_t else (None,):
+                    args = (r, t) if takes_t else (r,)
+                    assert stats.column(name, 24, r, t) == \
+                        [scalar(n, *args) for n in range(25)], (name, r, t)
+
+    def test_bad_columns_are_refused(self):
+        for call, why in ((lambda: stats.column("beck_c", 5, 3), "unknown aggregate"),
+                          (lambda: stats.column("excess_Ert", 5, 3), "requires the residue"),
+                          (lambda: stats.column("excess_Ert", 5, 3, 3), "must lie in"),
+                          (lambda: stats.column("beck_b", 5, 3, 1), "does not take"),
+                          (lambda: stats.column("beck_b", -1, 3), "non-negative"),
+                          (lambda: stats.column("beck_b", 5, 1), "modulus")):
+            with pytest.raises(ValueError, match=why):
+                call()
 
 
 class TestInvariants:
