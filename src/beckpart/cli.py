@@ -102,15 +102,12 @@ class VerificationReport:
             "elapsed": self.elapsed, "points": points,
         }, indent=2)
 
-    def to_csv(self):
-        lines = ["n,r,t,lhs,rhs,status"]
+    def csv_lines(self):
+        """The csv header, then one line per point in report order."""
+        yield "n,r,t,lhs,rhs,status"
         for n, t, lhs, rhs in self.points():
-            lines.append(f"{n},{self.r},{'' if t is None else t},{lhs},{rhs},"
-                         f"{'pass' if lhs == rhs else 'fail'}")
-        return "\n".join(lines)
-
-    def render(self, fmt):
-        return {"text": self.to_text, "json": self.to_json, "csv": self.to_csv}[fmt]()
+            yield (f"{n},{self.r},{'' if t is None else t},{lhs},{rhs},"
+                   f"{'pass' if lhs == rhs else 'fail'}")
 
 
 # A side is a column: a function of (n_max, r, t) giving its values at
@@ -191,11 +188,11 @@ def _element_json(x):
     return x
 
 
-_BLOCK = 1024  # members per write of enumerate
+_BLOCK = 1024  # items per write: members of enumerate, lines of verify csv
 
 
 def _blocks(stream):
-    # The members in lists of _BLOCK.  When the stream raises, the members
+    # The items in lists of _BLOCK.  When the stream raises, the items
     # listed before it are yielded first, so they still reach the output; a
     # block whose write failed is never yielded again.
     block = []
@@ -341,7 +338,11 @@ def _cmd_verify(args, out):
     start = time.perf_counter()
     _check(report)
     report.elapsed = time.perf_counter() - start
-    print(report.render(args.format), file=out)
+    if args.format == "csv":  # a block of lines at a time, as enumerate writes
+        for block in _blocks(report.csv_lines()):
+            out.write("\n".join(block) + "\n")
+    else:
+        print(report.to_json() if args.format == "json" else report.to_text(), file=out)
     return 0 if report.passed else 1
 
 

@@ -36,18 +36,19 @@ family is kept, the largest built, cut into one column per statistic, and
 serves every n up to its size: a read of one n or of a range of n is a
 slice.  n past ``COUNT_LIMIT`` and a table past ``TABLE_BITS`` or
 ``TABLE_WORK`` (r close to n) are refused before anything is built.
-Family counts are never listings and never come from ``qseries``.  Pair
-sets are still counted by listing, under the same limit, and a pair count
-that would walk more than ``WALK_LIMIT`` flat partitions, as the flat count
-table tells, is refused before listing.
 
 Every decorated family and every pair set is one table entry as well: a
-base family with a rule for the positions that may carry the decoration,
-or a kind of rectangle with a filter on its height i and a test of the
-flat component's gap at i or i/r.  An entry is read three ways: the lister
-streams it, the membership test checks one object against it, and the maps
-of ``bijections`` check their domains and images through the predicate
-that test is built on, made once per declared set.
+base family with a rule for the positions that may carry the decoration
+and the totals statistic that counts them, or a kind of rectangle with a
+filter on its height i and a window (p, a, b): the flat component's gap
+at p = i or i/r must lie in [a, b).  An entry is read four ways: the lister
+streams it, the counter reads it from the tables, the membership test
+checks one object against it, and the maps of ``bijections`` check their
+domains and images through the predicate that test is built on, made once
+per declared set.  Every count, of one n or of a range, is a read of the
+count tables: a plain family's count column, a decorated family's totals
+column, or for a pair set the flat count column through conjugation (see
+``_pair_counts``).  No count lists a set or comes from ``qseries``.
 
 Every enumerator is deterministic: bases stream in descending lexicographic
 order, decorations by increasing position, rectangles by increasing part
@@ -57,11 +58,10 @@ then count.  The order is part of the contract so fixtures stay stable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import isqrt, log
-from operator import add
+from operator import add, mul
 
 from .partitions import (
     DecoratedPartition,
@@ -178,18 +178,6 @@ COUNT_LIMIT = 2048
 TABLE_BITS = 1 << 27
 TABLE_WORK = 6 * 10 ** 11
 
-# The most flat partitions a pair count lists: one walk of F_r(n - s i) per
-# rectangle (s^i) kept, read from the flat count table before listing.  A
-# cold walk took 1.9 to 5 us per flat (r = 2..5, walks of 10^5 to 4 * 10^7
-# flats), so a count stops within a few seconds.
-WALK_LIMIT = 10 ** 6
-
-
-def _countable(n):
-    # n past the limit is refused before any table is built or pair listed
-    if n > COUNT_LIMIT:
-        raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
-
 
 def _size(n, held):
     # the size of the table built to hold n past the held size: n itself,
@@ -210,7 +198,8 @@ def _table(n, rule, viol, r, totals):
     # a larger one replaces the held table only once it is built
     held = _held(rule, viol, r, totals)
     if n > held[0]:
-        _countable(n)
+        if n > COUNT_LIMIT:  # refused before any table is built
+            raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
         size = _size(n, held[0])
         width = _width(size, rule, totals)
         start = _build(size, rule, viol, r, totals, width)[0]
@@ -322,7 +311,8 @@ def _build(size, rule, viol, r, totals, width):
     return table
 
 
-_Totals = namedtuple("_Totals", "count parts distinct residue repeats steep")
+# the statistics of a totals table, in slot order
+_STATS = ("count", "parts", "distinct", "residue", "repeats", "steep")
 
 
 def _cap(columns, rule):
@@ -340,7 +330,7 @@ def _stat(lo, hi, family, r, stat, t=None):
     # for repeats and gaps.
     rule, viol = _SPEC[family]
     columns = _table(hi, rule, viol, r, True)
-    i = _Totals._fields.index(stat)
+    i = _STATS.index(stat)
     if i < 3:
         picked = columns[i:i + 1]
     else:
@@ -350,29 +340,6 @@ def _stat(lo, hi, family, r, stat, t=None):
         block = columns[3 + (i - 3) * cap:][:cap]
         picked = block[t:t + 1] if stat == "residue" else block[t:] if t else []
     return list(map(sum, zip(*(c[lo:hi + 1] for c in picked)))) or [0] * (hi - lo + 1)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed, as count: a bool n must miss and fail
-def _totals(n, family, r):
-    """Statistic totals over a plain family of n.
-
-    ``residue[t]`` sums the parts congruent to t mod r, ``repeats[t]`` the
-    values repeated at least t times and ``steep[t]`` the gaps (final part
-    included) at least t, for t in [1, r-1]; entry 0 is unused.  Only the
-    gap rule carries gaps, so ``steep`` is None outside the flat families.
-    """
-    family = _validate(n, family, r, None)
-    rule, viol = _SPEC[family]
-    cap = _cap(_table(n, rule, viol, r, True), rule)
-
-    def stat(name, t=None):
-        return _stat(n, n, family, r, name, t)[0]
-
-    def by_t(name):  # t past cap reads 0
-        return tuple(stat(name, t) for t in range(cap)) + (0,) * (r - cap)
-
-    return _Totals(stat("count"), stat("parts"), stat("distinct"), by_t("residue"),
-                   by_t("repeats"), by_t("steep") if rule == "gap" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +458,9 @@ def _keeps(lam, breaks, viol, r):
 
 
 # ---------------------------------------------------------------------------
-# Decorated families and pair sets, one table entry each.  The lister and
-# the membership reader read them, and the maps' domain and image checks
-# read the membership reader.
+# Decorated families and pair sets, one table entry each.  The lister, the
+# counter and the membership reader read them, and the maps' domain and
+# image checks read the membership reader.
 # ---------------------------------------------------------------------------
 
 def _gap(lam, i):
@@ -512,28 +479,34 @@ def _last_occurrence(lam, r, t, i):
     return i == len(lam) or lam[i] != lam[i - 1]
 
 
-# family -> (base, decoration, whether position i may carry it, size from
-# the base totals).  Each is counted by one totals entry of its base.
+# family -> (base, decoration, whether position i may carry it, the base's
+# totals statistic that counts the positions, read at t by _stat)
 _DECORATED = {
-    Family.O_STAR: (Family.O_R, MARK, lambda lam, r, t, i: lam[i - 1] % r == t,
-                    lambda totals, t: totals.residue[t]),
-    Family.F_BAR: (Family.F_R, OVERLINE, lambda lam, r, t, i: _gap(lam, i) >= t,
-                   lambda totals, t: totals.steep[t]),
-    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrence, lambda totals, t: totals.distinct),
-    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrence, lambda totals, t: totals.distinct),
+    Family.O_STAR: (Family.O_R, MARK, lambda lam, r, t, i: lam[i - 1] % r == t, "residue"),
+    Family.F_BAR: (Family.F_R, OVERLINE, lambda lam, r, t, i: _gap(lam, i) >= t, "steep"),
+    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrence, "distinct"),
+    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrence, "distinct"),
 }
 
 # pair set -> (whether the rectangle (s^i) has parts s of residue t rather
-# than s = 1, whether height i is kept, a gap test on the r-flat component)
+# than s = 1, whether height i is kept, and None or the window of a kept
+# height: (r, i) -> (p, a, b), the flat component kept when its gap at p
+# lies in [a, b))
 _PAIRS = {
-    PairSet.P_RT: (True, _any, _any),
-    PairSet.A_O: (False, lambda r, i: i % r != 0, _any),
-    PairSet.A_D: (False, _any, lambda flat, r, i: _gap(flat, i) < r - 1),
-    PairSet.A_T: (False, lambda r, i: i % r == 0, lambda flat, r, i: _gap(flat, i // r) > 0),
-    PairSet.A: (False, _any, lambda flat, r, i: _gap(flat, i) == r - 1),
-    PairSet.B: (False, lambda r, i: i % r == 0, lambda flat, r, i: _gap(flat, i // r) == 0),
+    PairSet.P_RT: (True, _any, None),
+    PairSet.A_O: (False, lambda r, i: i % r != 0, None),
+    PairSet.A_D: (False, _any, lambda r, i: (i, 0, r - 1)),
+    PairSet.A_T: (False, lambda r, i: i % r == 0, lambda r, i: (i // r, 1, r)),
+    PairSet.A: (False, _any, lambda r, i: (i, r - 1, r)),
+    PairSet.B: (False, lambda r, i: i % r == 0, lambda r, i: (i // r, 0, 1)),
 }
 _NEEDS_T = (Family.O_STAR, Family.F_BAR, PairSet.P_RT)
+
+
+def _window(gap, r, i):
+    # the window of a pair set's height i; with no gap test, every gap of an
+    # r-flat partition, 0..r-1
+    return gap(r, i) if gap else (1, 0, r)
 
 
 def _membership(tag):
@@ -542,9 +515,14 @@ def _membership(tag):
     # once, so a caller that keeps the predicate pays only for the test.
     if tag in _PAIRS:
         residue, height, gap = _PAIRS[tag]
+
+        def kept(flat, r, i):
+            p, a, b = _window(gap, r, i)
+            return a <= _gap(flat, p) < b
+
         return lambda x, r, t: (
             isinstance(x, RectanglePair) and (x.part % r == t if residue else x.part == 1)
-            and height(r, x.count) and _is_flat_list(x.flat, r) and gap(x.flat, r, x.count))
+            and height(r, x.count) and _is_flat_list(x.flat, r) and kept(x.flat, r, x.count))
     if tag in _DECORATED:
         base, decoration, allowed, _ = _DECORATED[tag]
         plain = _membership(base)
@@ -586,8 +564,9 @@ def enumerate_family(n, tag, r=None, t=None):
     elif tag in _PAIRS:
         gap = _PAIRS[tag][2]
         for s, i in _rectangles(n, tag, r, t):
+            p, a, b = _window(gap, r, i)
             for flat in _walk(n - s * i, *_SPEC[Family.F_R], r):
-                if gap(flat, r, i):
+                if a <= _gap(flat, p) < b:
                     yield RectanglePair._make(flat, s, i)
     else:
         base, decoration, allowed, _ = _DECORATED[tag]
@@ -606,37 +585,56 @@ def _rectangles(n, tag, r, t):
                 yield s, i
 
 
+def _pair_counts(lo, hi, tag, r, t):
+    # The pair set's counts at n = lo..hi, read from the flat count column F
+    # through conjugation.  Conjugation takes an r-flat partition to one with
+    # no value repeated r or more times, its gap at p to the multiplicity of
+    # p there, so the flat partitions whose gap at p lies in [a, b) number
+    # F(q) (q^(p a) - q^(p b)) / (1 - q^(r p)).  Each kept rectangle (s^i)
+    # adds to the marks M +1 at k = s i + p a + j r p and -1 at s i + p b +
+    # j r p for j >= 0, or +1 at s i alone with no gap test, and count(n) is
+    # the sum over k of F[n - k] M[k]: n log n steps for M, n for each n.
+    # F is read first, so a refused n or table builds no marks.
+    flats = _read(0, hi, *_SPEC[Family.F_R], r)
+    gap = _PAIRS[tag][2]
+    marks = [0] * (hi + 1)
+    for s, i in _rectangles(hi, tag, r, t):
+        if gap is None:
+            marks[s * i] += 1
+            continue
+        p, a, b = gap(r, i)
+        for first, sign in ((a, 1), (b, -1)):
+            for k in range(s * i + p * first, hi + 1, r * p):
+                marks[k] += sign
+    return [sum(map(mul, flats[n::-1], marks)) for n in range(lo, hi + 1)]
+
+
+def _column(lo, hi, tag, r, t):
+    # the set's counts at n = lo..hi, as a list, each a read of the tables:
+    # a plain family's count column, a decorated family's totals statistic,
+    # or a pair set's marks against the flat count column
+    if tag in _SPEC:
+        return _read(lo, hi, *_SPEC[tag], r)
+    if tag in _DECORATED:
+        base, _, _, stat = _DECORATED[tag]
+        return _stat(lo, hi, base, r, stat, t)
+    return _pair_counts(lo, hi, tag, r, t)
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: count(True, ...) must not hit count(1, ...)
 def count(n, tag, r=None, t=None):
     """Number of members of the family or pair set; matches the enumeration exactly."""
-    tag = _validate(n, tag, r, t)
-    if tag in _SPEC:
-        return _read(n, n, *_SPEC[tag], r)[0]
-    if tag in _PAIRS:  # still counted by listing, so refused past a walk of WALK_LIMIT flats
-        _countable(n)
-        rectangles, gap = list(_rectangles(n, tag, r, t)), _PAIRS[tag][2]
-        flats = _read(0, n, *_SPEC[Family.F_R], r)
-        walk = sum(flats[n - s * i] for s, i in rectangles)
-        if walk > WALK_LIMIT:
-            raise ValueError(f"counting {tag.value!r} at n = {n} would list {walk} flat "
-                             f"partitions, more than {WALK_LIMIT}")
-        return sum(gap(flat, r, i) for s, i in rectangles
-                   for flat in _walk(n - s * i, *_SPEC[Family.F_R], r))
-    base, _, _, size = _DECORATED[tag]
-    return size(_totals(n, base, r), t)
+    return _column(n, n, _validate(n, tag, r, t), r, t)[0]
 
 
 def counts(n_max, tag, r=None, t=None):
     """``count(n, tag, r, t)`` for n = 0..n_max, as a list.
 
-    A plain family is one read of its count table.  Any other set is
-    counted n by n, the largest n first, so a size refused is refused
-    before anything else is counted.
+    Every set is one read of the count tables, the same read ``count``
+    makes at one n, so a size or table refused is refused before anything
+    is counted.
     """
-    tag = _validate(n_max, tag, r, t)
-    if tag in _SPEC:
-        return _read(0, n_max, *_SPEC[tag], r)
-    return [count(n, tag, r, t) for n in range(n_max, -1, -1)][::-1]
+    return _column(0, n_max, _validate(n_max, tag, r, t), r, t)
 
 
 def is_member(x, tag, r, t=None):
@@ -658,8 +656,8 @@ enumerate_pairs, count_pairs = enumerate_family, count  # the names the pair set
 def clear_caches():
     """Empty every memo table of the module.
 
-    That is the counting tables and totals, the lister's walk states, and
-    the results of ``count``.
+    That is the count and totals tables, the lister's walk states, and the
+    results of ``count``.
     """
-    for memo in (_held, _totals, _memo, count):
+    for memo in (_held, _memo, count):
         memo.cache_clear()

@@ -181,9 +181,6 @@ class Partition(tuple):
         _check_modulus(r)
         return _is_flat_list(self, r)
 
-    def max_multiplicity(self):
-        return max(self.multiplicities().values(), default=0)
-
     # -- rendering ----------------------------------------------------------
 
     def to_plain(self):
@@ -334,9 +331,6 @@ class DecoratedPartition:
         x = object.__new__(cls)
         x.__dict__.update(base=base, decoration=decoration, position=position)
         return x
-
-    def undecorated(self):
-        return self.base
 
     def text(self):
         bits = list(map(str, self.base))

@@ -552,6 +552,15 @@ class TestSizeLimits:
         assert out.startswith("verify beck3: r=20000") and " 620000/620000 " in out
         assert peak < 50 << 10, peak  # KiB
 
+    def test_verify_csv_at_a_wide_modulus_peaks_under_50_mib(self):
+        # csv is written a block of lines at a time, never held whole
+        out, peak = self.peak_kib("verify", "beck3", "--r", "20000", "--n-max", "30",
+                                  "--format", "csv")
+        lines = out.splitlines()
+        assert lines[0] == "n,r,t,lhs,rhs,status" and len(lines) == 1 + 620000
+        assert all(line.endswith(",pass") for line in lines[1:])
+        assert peak < 50 << 10, peak  # KiB
+
     def test_partition_size_limit(self, capsys):
         limit = partitions.SIZE_LIMIT
         for text in (f"{limit}", f"1^{limit}", f"2^{limit // 2}"):
@@ -573,7 +582,7 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("argv, why", [
-        ("count --pairset A --r 2 --n 200", "would list 7507569781 flat partitions"),
+        ("count --pairset A --r 1000 --n 2000", "r = 1000 is too large to count"),
         ("count --family Fbar --r 300 --t 1 --n 200", "r = 300 is too large to count"),
     ])
     def test_costly_count_is_refused_at_once(self, capsys, argv, why):
@@ -584,9 +593,16 @@ class TestSizeLimits:
         assert (code, out) == (2, "") and err.startswith("error:") and why in err, err
         assert "Traceback" not in err
 
-    def test_pair_count_under_the_walk_limit_answers(self, capsys):
+    def test_pair_counts_answer_at_once(self, capsys):
+        # pair sets are counted from the flat count table, not listed
         assert run(capsys, "count", "--pairset", "A", "--r", "2", "--n", "60")[:2] == \
             (0, "26939\n")
+        families.clear_caches()
+        start = time.perf_counter()
+        a, b = (run(capsys, "count", "--pairset", tag, "--r", "2", "--n", "200")[:2]
+                for tag in ("A", "B"))
+        assert time.perf_counter() - start < 1
+        assert a == b == (0, "2257767718\n")  # zeta: |A| = |B|
 
 
 def _option(flag, values, present=False):

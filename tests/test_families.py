@@ -29,6 +29,7 @@ from beckpart import (
     is_member,
 )
 from beckpart.partitions import MARK, OVERLINE
+from helpers import Totals, totals
 
 # ---------------------------------------------------------------------------
 # Independent oracle predicates, written from scratch on purpose.
@@ -137,22 +138,41 @@ def test_decorated_families_match_oracle(r):
 
 
 def test_count_matches_enumeration_for_every_family():
+    # every family and pair set, each count and each range read
     for r in range(2, 7):
-        for n in range(0, 26):
-            for family in Family:
-                if family is Family.ALL:
-                    cases = [(None, None)]
-                elif family in (Family.O_STAR, Family.F_BAR):
-                    cases = [(r, t) for t in range(1, r)]
-                else:
-                    cases = [(r, None)]
-                for rr, t in cases:
-                    assert count(n, family, rr, t) == \
-                        len(list(enumerate_family(n, family, rr, t))), (n, family, rr, t)
+        for family in (*Family, *PairSet):
+            if family is Family.ALL:
+                cases = [(None, None)]
+            elif family in families._NEEDS_T:
+                cases = [(r, t) for t in range(1, r)]
+            else:
+                cases = [(r, None)]
+            for rr, t in cases:
+                listed = [len(list(enumerate_family(n, family, rr, t))) for n in range(26)]
+                for n in range(0, 26):
+                    assert count(n, family, rr, t) == listed[n], (n, family, rr, t)
+                assert families.counts(25, family, rr, t) == listed, (family, rr, t)
+
+
+def test_pair_counts_never_list(monkeypatch):
+    # a pair set is counted from the flat count column, so a lister that
+    # fails is never reached, far past the sizes a listing could count
+    def listing(*_):
+        raise AssertionError("a pair count listed")
+
+    families.clear_caches()
+    monkeypatch.setattr(families, "_walk", listing)
+    assert count(60, PairSet.A, 2) == 26939
+    assert count(60, PairSet.P_RT, 2, 1) == 164734
+    for r in (2, 3, 7):
+        for tag in PairSet:
+            for t in residues(tag, r):
+                assert len(families.counts(300, tag, r, t)) == 301
+    assert count(2048, PairSet.A, 2) == count(2048, PairSet.B, 2)  # zeta
 
 
 def test_counts_are_the_counts_of_each_n():
-    # a plain family from one read of a fresh table, any other set n by n
+    # a range read from fresh tables equals the reads of each n
     for r in (2, 3, 5):
         for tag in (*Family, *PairSet):
             ts = range(1, r) if tag in families._NEEDS_T else (None,)
@@ -300,8 +320,8 @@ def walk_totals(n, family, r):
     def at_least(hist):
         return (0,) + tuple(sum(hist[t:]) for t in range(1, r))
 
-    return families._Totals(s[0], s[1], s[2], s[3:3 + r],
-                            at_least(s[3 + r:3 + 2 * r]), at_least(s[3 + 2 * r:]))
+    return Totals(s[0], s[1], s[2], s[3:3 + r],
+                  at_least(s[3 + r:3 + 2 * r]), at_least(s[3 + 2 * r:]))
 
 
 def test_counts_and_totals_match_the_walk_oracle():
@@ -313,7 +333,7 @@ def test_counts_and_totals_match_the_walk_oracle():
                 spec = families._SPEC[family]
                 assert count(n, family, None if family is Family.ALL else r) == \
                     walk_count(n, 0, 0, *spec, r), (n, family, r)
-                got = families._totals(n, family, r)
+                got = totals(n, family, r)
                 expected = walk_totals(n, family, r)
                 if spec[0] == "gap":
                     assert got == expected, (n, family, r)
@@ -377,7 +397,7 @@ class TestTables:
     def test_sizes_past_the_limit_are_refused_unbuilt(self, builds):
         n = families.COUNT_LIMIT + 1
         for call in (lambda: count(n, Family.O_R, 3), lambda: count(n, Family.D_BAR, 3),
-                     lambda: families._totals(n, Family.F_R, 3)):
+                     lambda: count(n, PairSet.A, 2), lambda: totals(n, Family.F_R, 3)):
             with pytest.raises(ValueError, match="at most"):
                 call()
         assert builds == []
@@ -407,7 +427,7 @@ class TestTables:
     def test_reads_from_a_larger_table_equal_cold_reads(self):
         def reads():
             return [(count(n, family, None if family is Family.ALL else r),
-                     families._totals(n, family, r))
+                     totals(n, family, r))
                     for r in range(2, 7) for family in PLAIN for n in range(41)]
 
         families.clear_caches()
@@ -416,7 +436,7 @@ class TestTables:
         for r in range(2, 7):
             for family in PLAIN:
                 count(1024, family, r)
-                families._totals(1024, family, r)
+                totals(1024, family, r)
         assert {families._held(*families._SPEC[family], r, totals)[0]
                 for r in range(2, 7) for family in PLAIN for totals in (False, True)} == {1024}
         assert reads() == cold
@@ -429,7 +449,7 @@ class TestTables:
                  ("none", 0, None, False)]
 
         def read(n):
-            return count(n, Family.O_1R, 2), families._totals(n, Family.D_R, 2)
+            return count(n, Family.O_1R, 2), totals(n, Family.D_R, 2)
 
         families.clear_caches()
         rising, sizes = [], []
@@ -449,11 +469,11 @@ class TestTables:
         calls = []
         stat = families._stat
         monkeypatch.setattr(families, "_stat", lambda *args: calls.append(args) or stat(*args))
-        totals = families._totals(30, Family.O_R, 20000)
-        assert len(totals.residue) == len(totals.repeats) == 20000
-        assert totals.residue[31:] == totals.repeats[31:] == (0,) * (20000 - 31)
-        assert totals.residue[1] == count(30, Family.O_STAR, 20000, 1)
-        assert len(calls) == 3 + 2 * 31
+        got = totals(30, Family.O_R, 20000)
+        assert len(calls) == 3 + 2 * 31  # before count reads _stat once more
+        assert len(got.residue) == len(got.repeats) == 20000
+        assert got.residue[31:] == got.repeats[31:] == (0,) * (20000 - 31)
+        assert got.residue[1] == count(30, Family.O_STAR, 20000, 1)
 
     def test_a_cold_sweep_builds_one_table_per_spec(self, builds, capsys):
         families.clear_caches()
@@ -485,10 +505,10 @@ class TestTables:
 
 def test_clear_caches_empties_every_memo():
     count(12, Family.O_1R, 3)
-    families._totals(12, Family.F_R, 3)
+    totals(12, Family.F_R, 3)
     list(enumerate_family(12, Family.T_R, 3))
     count_pairs(6, PairSet.A, 2)
-    memos = [families._held, families._totals, families._memo, count, count_pairs]
+    memos = [families._held, families._memo, count, count_pairs]
     assert set(memos) == {obj for obj in vars(families).values()
                           if callable(getattr(obj, "cache_info", None))}
     assert all(m.cache_info().currsize for m in memos)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from beckpart import families, stats
+from beckpart import stats
 from beckpart import (
     Family,
     Partition,
@@ -17,6 +17,7 @@ from beckpart import (
     total_repeated_values,
     total_residue_parts,
 )
+from helpers import totals
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +68,9 @@ def flat_totals(n, r):
 def test_totals_match_listing_oracle():
     for r in range(2, 7):
         for n in range(0, 31):
-            regular = families._totals(n, Family.O_R, r)
-            bounded = families._totals(n, Family.D_R, r)
-            flat = families._totals(n, Family.F_R, r)
+            regular = totals(n, Family.O_R, r)
+            bounded = totals(n, Family.D_R, r)
+            flat = totals(n, Family.F_R, r)
             assert (regular.count, regular.parts, regular.residue, regular.distinct) \
                 == regular_totals(n, r), (n, r)
             assert (bounded.count, bounded.parts, bounded.repeats, bounded.distinct) \

@@ -34,6 +34,8 @@ FIXED_RUNS = (
     "count --family Or --r 3 --n 2048",
     "count --pairset A --r 2 --n 60",
     "count --pairset Prt --r 2 --t 1 --n 60",
+    "count --pairset Prt --r 2 --t 1 --n 2048",
+    "count --pairset Ad --r 7 --n 2048",
     "verify beck3 --r 20000 --n-max 30",
 )
 
