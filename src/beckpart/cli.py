@@ -77,37 +77,47 @@ class VerificationReport:
     def passed(self):
         return next(self.failures(), None) is None
 
-    def to_text(self):
-        # the first 20 failures by (n, t), t-free checks first: the smallest
-        # failing point leads
-        total = sum(map(len, self.blocks)) * (self.n_max + 1)
-        failed = sum(1 for _ in self.failures())
-        lines = [
-            f"verify {self.identity}: r={self.r}, n<= {self.n_max}, "
-            f"t in {list(self.t_values) if self.t_values else '-'}: "
-            f"{total - failed}/{total} comparisons pass ({self.elapsed:.2f}s)"
-        ]
-        for n, t, lhs, rhs in nsmallest(20, self.failures(), key=lambda p: (p[0], p[1] or 0)):
-            lines.append(f"  FAIL n={n} r={self.r} t={t}: {lhs} != {rhs}")
-        if failed > 20:
-            lines.append(f"  ... and {failed - 20} more failures")
-        return "\n".join(lines)
+    def _total(self):
+        return sum(map(len, self.blocks)) * (self.n_max + 1)
 
-    def to_json(self):
-        points = [{"n": n, "r": self.r, "t": t, "lhs": lhs, "rhs": rhs,
-                   "status": "pass" if lhs == rhs else "fail"} for n, t, lhs, rhs in self.points()]
-        return json.dumps({
+    def text_lines(self):
+        """The summary, then the first 20 failures by (n, t), t-free checks
+        first: the smallest failing point leads."""
+        total = self._total()
+        failed = sum(1 for _ in self.failures())
+        yield (f"verify {self.identity}: r={self.r}, n<= {self.n_max}, "
+               f"t in {list(self.t_values) if self.t_values else '-'}: "
+               f"{total - failed}/{total} comparisons pass ({self.elapsed:.2f}s)")
+        for n, t, lhs, rhs in nsmallest(20, self.failures(), key=lambda p: (p[0], p[1] or 0)):
+            yield f"  FAIL n={n} r={self.r} t={t}: {lhs} != {rhs}"
+        if failed > 20:
+            yield f"  ... and {failed - 20} more failures"
+
+    def json_lines(self):
+        """The lines of json.dumps(report, indent=2), a point at a time: the
+        head, each point's own indent=2 dump indented four spaces, the close."""
+        total = self._total()
+        head = json.dumps({
             "identity": self.identity, "r": self.r, "n_max": self.n_max,
-            "t_values": list(self.t_values), "passed": self.passed,
-            "elapsed": self.elapsed, "points": points,
+            "t_values": list(self.t_values), "passed": self.passed, "elapsed": self.elapsed,
         }, indent=2)
+        yield head[:-2] + ',\n  "points": ['  # head ends "\n}"; every report has a point
+        dumps = json.JSONEncoder(indent=2).encode  # json.dumps(point, indent=2), made once
+        for i, (n, t, lhs, rhs) in enumerate(self.points(), 1):
+            point = dumps({"n": n, "r": self.r, "t": t, "lhs": lhs, "rhs": rhs,
+                           "status": _status(lhs, rhs)})
+            yield "    " + point.replace("\n", "\n    ") + ("," if i < total else "")
+        yield "  ]\n}"
 
     def csv_lines(self):
         """The csv header, then one line per point in report order."""
         yield "n,r,t,lhs,rhs,status"
         for n, t, lhs, rhs in self.points():
-            yield (f"{n},{self.r},{'' if t is None else t},{lhs},{rhs},"
-                   f"{'pass' if lhs == rhs else 'fail'}")
+            yield f"{n},{self.r},{'' if t is None else t},{lhs},{rhs},{_status(lhs, rhs)}"
+
+
+def _status(lhs, rhs):
+    return "pass" if lhs == rhs else "fail"
 
 
 # A side is a column: a function of (n_max, r, t) giving its values at
@@ -188,7 +198,7 @@ def _element_json(x):
     return x
 
 
-_BLOCK = 1024  # items per write: members of enumerate, lines of verify csv
+_BLOCK = 1024  # items per write: members of enumerate, lines of verify
 
 
 def _blocks(stream):
@@ -338,11 +348,9 @@ def _cmd_verify(args, out):
     start = time.perf_counter()
     _check(report)
     report.elapsed = time.perf_counter() - start
-    if args.format == "csv":  # a block of lines at a time, as enumerate writes
-        for block in _blocks(report.csv_lines()):
-            out.write("\n".join(block) + "\n")
-    else:
-        print(report.to_json() if args.format == "json" else report.to_text(), file=out)
+    lines = {"text": report.text_lines, "json": report.json_lines, "csv": report.csv_lines}
+    for block in _blocks(lines[args.format]()):  # a block of lines at a time
+        out.write("\n".join(block) + "\n")
     return 0 if report.passed else 1
 
 

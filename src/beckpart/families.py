@@ -155,13 +155,14 @@ _SPEC = {
 # ---------------------------------------------------------------------------
 
 # The largest n counted.  The costliest tables a count builds at r <= 7 are
-# the regular and flat totals behind Ostar and Fbar: at r = 7 each count
-# took 3.0 s in a fresh process at n = 2048, and the two tables took 16 s
-# and 14 s to build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is
-# refused before any table is built.  A plain-family count at n = 2048
-# peaked at 16-17 MiB RSS, and the Fbar count at r = 7 at 32 MiB.  A
+# the regular and bounded totals behind Ostar and Fbar (Fbar reads its gaps
+# as the repeats of Dr, see _stat): at r = 7 the counts took 3.1 s and 2.0 s
+# in a fresh process at n = 2048, and the two tables took 14 s and 9 s to
+# build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is refused
+# before any table is built.  A plain-family count at n = 2048 peaked at
+# 16-17 MiB RSS, and the Fbar and Ostar counts at r = 7 at 19 MiB.  A
 # table's cost also grows with cap = min(r, size + 1): the gap rule has
-# cap + 1 states and a totals table 3 cap + 3 slots (see TABLE_BITS).
+# cap + 1 states and a totals table 2 cap slots (see TABLE_BITS).
 COUNT_LIMIT = 2048
 
 
@@ -171,10 +172,11 @@ COUNT_LIMIT = 2048
 # per run, about size ln(size) runs: bits * size * (1 + (violations + 1)
 # ln(size) / states) bit operations in all.  On a grid of 116 builds, those
 # of a second or more took 0.5 to 2 times the work times 17 ps.  The
-# costliest table at r <= 7 and size 2048, the F1r totals (15.5 MiB, 5.2e11
-# bit operations, 12 s), is under both limits, so every table at r <= 7 is
-# built.  r close to n is refused: the Fbar count at r = 300 and n = 200
-# would hold 348 MiB and take about 28 s.
+# costliest table at r <= 7 and size 2048, the F1r totals (9.0 MiB, 3.0e11
+# bit operations, 7.5 s), is under both limits, so every table at r <= 7 is
+# built; the F1r totals are first refused at r = 10.  r close to n is
+# refused: the Fbar count at r = 300 and n = 2000 would hold 23 MiB and take
+# 3.4e12 bit operations.
 TABLE_BITS = 1 << 27
 TABLE_WORK = 6 * 10 ** 11
 
@@ -241,34 +243,28 @@ def _width(size, rule, totals):
 
 def _build(size, rule, viol, r, totals, width):
     # Per (used, g), the slots of the completions of the states (k, m = size,
-    # used, g) for k = 0..size.  The totals slots are count, parts, distinct
-    # values, then r-slots of parts by residue and of runs by min(c, r-1),
-    # and for the gap rule one of gaps (final part included) by
-    # min(gap, r-1).  No gap, value or run of a partition of size passes
-    # size, so the g and the r-slots past cap = min(r, size + 1) would stay
-    # empty and are not kept: cost grows with min(r, size), not with r.
+    # used, g) for k = 0..size.  A totals table has one layout whatever its
+    # rule: the count, then parts by residue j = 0..cap-1, then runs by
+    # min(c, cap-1) for c = 1..cap-1, at slot cap + c.  g is read only by the
+    # gap rule's violation test, so no slot depends on it.  No value or run of
+    # a partition of size passes size, so the g and the slots past
+    # cap = min(r, size + 1) would stay empty and are not kept: cost grows
+    # with min(r, size), not with r.
     breaks = _RULES[rule]
     cap = r and min(r, size + 1)  # r is None only for the plain count table
     gs = range(cap + 1) if rule == "gap" else range(1)  # the values g may take
     states = [(u, g) for u in range(viol + 1) for g in gs]
     skips = [u * len(gs) + (g and min(g + 1, cap)) for u, g in states]
-    slots = 3 + (3 if rule == "gap" else 2) * cap if totals else 1
+    slots = 2 * cap if totals else 1
     bits = len(states) * slots * (size + 1) * width
     work = bits * size * (1 + (viol + 1) * log(size) / len(states))
     if bits > TABLE_BITS or work > TABLE_WORK:
         raise ValueError(f"r = {r} is too large to count at n up to {size}: the table "
                          f"would hold {bits >> 23} MiB and take {work:.1e} bit operations")
 
-    def closes(u, g):
-        # the walk stops at m = 0 with k = 0, and g is then the final part
-        out = [0] * slots
-        if u + breaks(r, g, 0, 0) == viol:
-            out[0] = 1 << size * width
-            if totals and g:
-                out[3 + 2 * cap + min(g, cap - 1)] = out[0]
-        return out
-
-    table = [closes(u, g) for u, g in states]
+    # the walk stops at m = 0 with k = 0, and g is then the final part
+    table = [[(u + breaks(r, g, 0, 0) == viol) << size * width] + [0] * (slots - 1)
+             for u, g in states]
     after = len(gs) > 1  # the g after a run: the gap to the value below m is 1
     for m in range(1, size + 1):
         longest = range(size // m, 0, -1)  # the runs of m, longest first
@@ -292,53 +288,46 @@ def _build(size, rule, viol, r, totals, width):
                             moved = [x >> shift for x in table[(u + b) * len(gs) + after]]
                             runs = list(map(add, runs, moved))
                             if c < cap - 1:
-                                runs[3 + cap + c] += moved[0]
+                                runs[cap + c] += moved[0]
                         parts += runs[0]
                         if c == cap - 1:  # every run of cap - 1 or more
-                            runs[3 + cap + c] += runs[0]
-                    # each completion gains the run's statistics
-                    runs[1] += parts
-                    runs[2] += runs[0]
-                    runs[3 + m % r] += parts
-                if not runs[0]:
-                    continue
-                for g in group:
-                    s = u * len(gs) + g
-                    new[s] = list(map(add, new[s], runs))
-                    if totals and g:  # and the gap from the value above m
-                        new[s][3 + 2 * cap + min(g, cap - 1)] += runs[0]
+                            runs[cap + c] += runs[0]
+                    runs[1 + m % r] += parts  # each completion gains the run's parts
+                if runs[0]:
+                    for g in group:
+                        s = u * len(gs) + g
+                        new[s] = list(map(add, new[s], runs))
         table = new
     return table
 
 
-# the statistics of a totals table, in slot order
-_STATS = ("count", "parts", "distinct", "residue", "repeats", "steep")
+def _cap(columns):
+    # the residue slots a totals table keeps: min(r, size + 1)
+    return len(columns) // 2
 
 
-def _cap(columns, rule):
-    # the r-slots a totals table keeps per statistic: min(r, size + 1)
-    return (len(columns) - 3) // (3 if rule == "gap" else 2)
+# a flat family -> its conjugate: conjugation takes the gap at p of an
+# r-flat partition to the multiplicity of p, so the gaps of at least t over
+# the one are the values repeated at least t times over the other
+_CONJUGATE = {Family.F_R: Family.D_R, Family.F_1R: Family.D_1R}
 
 
 def _stat(lo, hi, family, r, stat, t=None):
     # One totals statistic of the plain family at n = lo..hi, as a list: the
     # count, parts or distinct values, or at residue t the parts congruent
-    # to t, the values repeated at least t times or the gaps (final part
-    # included) at least t.  Each is one slot of the totals table, or for
-    # repeats and gaps the sum of its histogram's slots from t up; slots
-    # past cap = min(r, size + 1) are not kept and read 0, as does t = 0
-    # for repeats and gaps.
-    rule, viol = _SPEC[family]
-    columns = _table(hi, rule, viol, r, True)
-    i = _STATS.index(stat)
-    if i < 3:
-        picked = columns[i:i + 1]
-    else:
-        cap = _cap(columns, rule)
-        # slot j of the block: the parts of residue j, or the runs (gaps) of
-        # min(c, cap - 1) = j
-        block = columns[3 + (i - 3) * cap:][:cap]
-        picked = block[t:t + 1] if stat == "residue" else block[t:] if t else []
+    # to t, the values repeated at least t times or, over a flat family,
+    # the gaps (final part included) at least t, read as the repeats of its
+    # conjugate.  Parts sum the residue slots and distinct values the run
+    # slots; slots past cap = min(r, size + 1) are not kept and read 0, as
+    # does t = 0 for repeats and gaps.
+    if stat == "steep":
+        family, stat = _CONJUGATE[family], "repeats"
+    columns = _table(hi, *_SPEC[family], r, True)
+    cap = _cap(columns)
+    residues, runs = columns[1:cap + 1], columns[cap + 1:]  # runs of c at cap + c
+    # every entry is sliced, and t is None for the statistics that take none
+    picked = {"count": columns[:1], "parts": residues, "distinct": runs,
+              "residue": residues[t:][:1], "repeats": runs[t - 1:] if t else []}[stat]
     return list(map(sum, zip(*(c[lo:hi + 1] for c in picked)))) or [0] * (hi - lo + 1)
 
 

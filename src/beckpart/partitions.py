@@ -113,11 +113,6 @@ class Partition(tuple):
         """Counter mapping each part value to its multiplicity."""
         return Counter(self)
 
-    def runs(self):
-        """The parts as (value, multiplicity) pairs in decreasing value order."""
-        # a Counter keeps first-occurrence order, which is decreasing here
-        return list(Counter(self).items())
-
     def gaps(self):
         """Consecutive differences, with the final part counted against 0."""
         if not self:
@@ -188,7 +183,8 @@ class Partition(tuple):
 
     def to_exponential(self):
         return ",".join(
-            f"{v}^{c}" if c > 1 else str(v) for v, c in self.runs()
+            # a Counter keeps first-occurrence order, which is decreasing here
+            f"{v}^{c}" if c > 1 else str(v) for v, c in self.multiplicities().items()
         )
 
     __str__ = to_plain

@@ -101,7 +101,14 @@ def excess_Ert(n, r, t):
 
 
 def excess_Ert_flat(n, r, t):
-    """The same excess computed over the r-flat family alone (ell_t - d_t)."""
+    """The same excess computed over the r-flat family alone (ell_t - d_t).
+
+    The gaps are counted through conjugation, which takes the gap at p of
+    an r-flat partition to the multiplicity of p: the total of d_t over the
+    r-flat partitions is the total of ell_bar_t over the multiplicity-bounded
+    ones.  So this differs from ``excess_Ert`` only in reading ell_t over
+    the r-flat family rather than the r-regular one.
+    """
     return _aggregate("excess_Ert_flat", n, n, r, t)[0]
 
 

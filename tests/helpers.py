@@ -4,7 +4,7 @@ from collections import namedtuple
 
 from beckpart import families
 
-Totals = namedtuple("Totals", families._STATS)
+Totals = namedtuple("Totals", "count parts distinct residue repeats steep")
 
 
 def totals(n, family, r):
@@ -12,13 +12,13 @@ def totals(n, family, r):
 
     ``residue[t]`` sums the parts congruent to t mod r, ``repeats[t]`` the
     values repeated at least t times and ``steep[t]`` the gaps (final part
-    included) at least t, for t in [1, r-1]; entry 0 is unused.  Only the
-    gap rule carries gaps, so ``steep`` is None outside the flat families.
+    included) at least t, for t in [1, r-1]; entry 0 is unused.  ``steep``
+    is read over the flat families only and is None outside them.
     ``families._stat`` is looked up at each read, so a patched one is seen.
     """
     family = families._validate(n, family, r, None)
     rule, viol = families._SPEC[family]
-    cap = families._cap(families._table(n, rule, viol, r, True), rule)
+    cap = families._cap(families._table(n, rule, viol, r, True))
 
     def stat(name, t=None):
         return families._stat(n, n, family, r, name, t)[0]

@@ -421,8 +421,10 @@ class TestTables:
                 for r in (None,) if rule == "none" and not totals else range(2, 8):
                     with pytest.raises(Passed):
                         families._build(size, rule, viol, r, totals, widths[rule, totals])
-        with pytest.raises(ValueError, match="r = 8 is too large"):
-            families._build(size, "gap", 1, 8, True, widths["gap", True])
+        with pytest.raises(Passed):  # the costliest table, the F1r totals, still at r = 9
+            families._build(size, "gap", 1, 9, True, widths["gap", True])
+        with pytest.raises(ValueError, match="r = 10 is too large"):
+            families._build(size, "gap", 1, 10, True, widths["gap", True])
 
     def test_reads_from_a_larger_table_equal_cold_reads(self):
         def reads():
@@ -481,6 +483,15 @@ class TestTables:
         assert sorted(builds, key=repr) == sorted([
             ("none", 0, None, False), ("value", 1, 6, False), ("mult", 1, 6, False),
             ("value", 0, 6, True), ("mult", 0, 6, True)], key=repr)
+
+    def test_gaps_are_read_from_the_conjugate_totals(self, builds):
+        # Fbar counts gaps of at least t, read as the repeats of D_r: no flat
+        # totals table is built, and the count still equals the listing
+        families.clear_caches()
+        for r, t in ((2, 1), (4, 2), (6, 5)):
+            assert count(30, Family.F_BAR, r, t) == \
+                sum(1 for _ in enumerate_family(30, Family.F_BAR, r, t))
+        assert builds and not [b for b in builds if b[0] == "gap" and b[3]]
 
     def test_cleared_caches_rebuild_the_table(self, builds):
         def cold_count():

@@ -37,6 +37,9 @@ FIXED_RUNS = (
     "count --pairset Prt --r 2 --t 1 --n 2048",
     "count --pairset Ad --r 7 --n 2048",
     "verify beck3 --r 20000 --n-max 30",
+    "verify beck3 --r 20000 --n-max 30 --format json",
+    "count --family Fbar --r 7 --t 1 --n 2048",
+    "count --family Ostar --r 7 --t 1 --n 2048",
 )
 
 _CHILD = """\
