@@ -95,18 +95,19 @@ class VerificationReport:
 
     def json_lines(self):
         """The lines of json.dumps(report, indent=2), a point at a time: the
-        head, each point's own indent=2 dump indented four spaces, the close."""
+        head, each point as its own indent=2 dump reads, indented four spaces,
+        the close."""
         total = self._total()
         head = json.dumps({
             "identity": self.identity, "r": self.r, "n_max": self.n_max,
             "t_values": list(self.t_values), "passed": self.passed, "elapsed": self.elapsed,
         }, indent=2)
         yield head[:-2] + ',\n  "points": ['  # head ends "\n}"; every report has a point
-        dumps = json.JSONEncoder(indent=2).encode  # json.dumps(point, indent=2), made once
         for i, (n, t, lhs, rhs) in enumerate(self.points(), 1):
-            point = dumps({"n": n, "r": self.r, "t": t, "lhs": lhs, "rhs": rhs,
-                           "status": _status(lhs, rhs)})
-            yield "    " + point.replace("\n", "\n    ") + ("," if i < total else "")
+            yield (f'    {{\n      "n": {n},\n      "r": {self.r},\n'
+                   f'      "t": {"null" if t is None else t},\n'
+                   f'      "lhs": {lhs},\n      "rhs": {rhs},\n'
+                   f'      "status": "{_status(lhs, rhs)}"\n    }}' + ("," if i < total else ""))
         yield "  ]\n}"
 
     def csv_lines(self):
@@ -261,7 +262,7 @@ def _cmd_count(args, out):
         print("n,count", file=out)
         for n, c in rows:
             print(f"{n},{c}", file=out)
-    elif len(rows) == 1:
+    elif args.n_max is None:
         print(rows[0][1], file=out)
     else:
         for n, c in rows:

@@ -17,9 +17,8 @@ Every family and pair set has one lister, ``enumerate_family``, one counter,
 ``count`` (``counts`` for n = 0..n_max at once), and one membership test,
 ``is_member``; each takes a ``Family``
 or ``PairSet`` tag and reads that tag's one table entry (``_SPEC``,
-``_DECORATED`` or ``_PAIRS``).  ``enumerate_pairs`` and ``count_pairs`` are
-the same functions under the names the pair sets had.  Only this module
-knows which kind of set a tag names.
+``_DECORATED`` or ``_PAIRS``).  Only this module knows which kind of set a
+tag names.
 
 Every plain family is one spec: a walk over the runs (v, c) of a partition,
 values descending, in which each run is checked by one rule and the family
@@ -637,9 +636,6 @@ def is_member(x, tag, r, t=None):
     if tag in _SPEC and type(x) in (list, tuple):
         x = Partition(x)
     return _membership(tag)(x, r, t)
-
-
-enumerate_pairs, count_pairs = enumerate_family, count  # the names the pair sets had
 
 
 def clear_caches():

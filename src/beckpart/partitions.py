@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * a partition is a non-increasing tuple of positive integers; the empty
   partition is the unique partition of 0;
-* the mathematical API is 1-based (``part_at``), and parts beyond the
-  length read as 0 (the usual zero-padding convention);
+* parts beyond the length read as 0 (the usual zero-padding convention),
+  as in the componentwise sum and difference;
 * the "gaps" of a partition are the consecutive differences *including*
   the final part measured against 0, so a nonempty partition has exactly
   as many gaps as parts.
@@ -103,12 +103,6 @@ class Partition(tuple):
         """The number being partitioned (sum of parts)."""
         return sum(self)
 
-    def part_at(self, i):
-        """The i-th part, 1-based; 0 beyond the length."""
-        if i < 1:
-            raise IndexError(f"part index is 1-based, got {i}")
-        return self[i - 1] if i <= len(self) else 0
-
     def multiplicities(self):
         """Counter mapping each part value to its multiplicity."""
         return Counter(self)
@@ -118,14 +112,6 @@ class Partition(tuple):
         if not self:
             return ()
         return tuple([self[i] - self[i + 1] for i in range(len(self) - 1)] + [self[-1]])
-
-    def residue_profile(self, r):
-        """How many parts fall in each residue class mod r (index = residue)."""
-        _check_modulus(r)
-        prof = [0] * r
-        for p in self:
-            prof[p % r] += 1
-        return tuple(prof)
 
     # -- the three operations + conjugation -------------------------------
 
@@ -154,27 +140,9 @@ class Partition(tuple):
         # non-negative and non-increasing, so the zeros are a suffix
         return Partition._make(diffs[:len(diffs) - diffs.count(0)])
 
-    def scale(self, k):
-        """Multiply every part by a positive integer k."""
-        if not _is_int(k) or k < 1:
-            raise ValueError(f"scale factor must be a positive integer, got {k!r}")
-        return Partition._make([p * k for p in self])
-
     def conjugate(self):
         """Transpose of the Ferrers diagram: entry j counts parts >= j."""
         return Partition._make(_conjugate(self))
-
-    # -- predicates (families.is_member tests every family) ---------------
-
-    def is_regular(self, r):
-        """True when no part is divisible by r."""
-        _check_modulus(r)
-        return all(p % r for p in self)
-
-    def is_flat(self, r):
-        """True when every gap (final part included) is at most r - 1."""
-        _check_modulus(r)
-        return _is_flat_list(self, r)
 
     # -- rendering ----------------------------------------------------------
 
@@ -223,15 +191,12 @@ def _parse_int(text, token):
         raise ValueError(f"non-numeric token {token!r} in partition text") from None
 
 
-def parse_partition(text, notation="auto"):
+def parse_partition(text):
     """Parse "10,7,7,5,4,3" or "5^2,4,3^3,1^2" (or a mix) into a Partition.
 
-    Parts may appear in any order; the result is canonical.  ``notation``
-    may be "plain" (no exponents allowed), "exponential", or "auto".  A
-    size past ``SIZE_LIMIT`` is refused before any exponent is expanded.
+    Parts may appear in any order; the result is canonical.  A size past
+    ``SIZE_LIMIT`` is refused before any exponent is expanded.
     """
-    if notation not in ("auto", "plain", "exponential"):
-        raise ValueError(f"unknown notation {notation!r}")
     s = text.strip()
     if not s:
         return Partition()
@@ -242,8 +207,6 @@ def parse_partition(text, notation="auto"):
         if not tok:
             raise ValueError(f"empty token in partition text {text!r}")
         if "^" in tok:
-            if notation == "plain":
-                raise ValueError(f"exponent not allowed in plain notation: {tok!r}")
             base_s, _, exp_s = tok.partition("^")
             base = _parse_int(base_s, tok)
             exp = _parse_int(exp_s, tok)

@@ -53,21 +53,6 @@ class TruncatedSeries:
         self.bound = bound
         self.coeffs = tuple(c)
 
-    @classmethod
-    def zero(cls, bound):
-        return cls(bound)
-
-    @classmethod
-    def one(cls, bound):
-        return cls(bound, (1,))
-
-    @classmethod
-    def monomial(cls, bound, degree, coefficient=1):
-        _check_degree(degree, bound)
-        c = [0] * (degree + 1)
-        c[degree] = coefficient
-        return cls(bound, c)
-
     def coefficient(self, n):
         _check_degree(n, self.bound)
         return self.coeffs[n]
@@ -140,17 +125,6 @@ class TruncatedSeries:
 def _digits(coeffs, w, half):
     """The integer whose ``w``-byte slot ``i`` holds ``coeffs[i] + half``."""
     return int.from_bytes(b"".join([(x + half).to_bytes(w, "little") for x in coeffs]), "little")
-
-
-def geometric(k, bound):
-    """1/(1 - q^k) = sum of q^(m*k) for m >= 0, truncated."""
-    _check_bound(bound)
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"geometric step must be a positive integer, got {k!r}")
-    c = [0] * (bound + 1)
-    for e in range(0, bound + 1, k):
-        c[e] = 1
-    return TruncatedSeries(bound, c)
 
 
 def _pentagonal(bound):

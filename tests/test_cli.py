@@ -151,6 +151,13 @@ class TestCountAndEnumerate:
         assert [line.split("\t") for line in out.strip().splitlines()] == [
             ["0", "1"], ["1", "1"], ["2", "1"], ["3", "2"], ["4", "2"], ["5", "3"]]
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "0\t1\n"), ("json", '{"0": 1}\n'), ("csv", "n,count\n0,1\n")])
+    def test_count_range_of_one_size_keeps_the_range_layout(self, capsys, fmt, expected):
+        code, out, _ = run(capsys, "count", "--family", "Or", "--r", "2", "--n-max", "0",
+                           "--format", fmt)
+        assert code == 0 and out == expected
+
     def test_enumerate_text(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "Or", "--r", "2", "--n", "5")
         assert code == 0
@@ -220,7 +227,7 @@ def listed(argv):
     args = cli.build_parser().parse_args(argv)
     if args.family is not None:
         return list(families.enumerate_family(args.n, args.family, args.r, args.t))
-    return list(families.enumerate_pairs(args.n, args.pairset, args.r, args.t))
+    return list(families.enumerate_family(args.n, args.pairset, args.r, args.t))
 
 
 class TestEnumerateOutput:
@@ -347,6 +354,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "beck2", "--r", "2", "--n-max", "2")
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("identity, ts", [("beck2", {None}), ("beck3", {None, 1, 2})])
+    def test_failing_json_is_its_own_indent_2_dump(self, capsys, monkeypatch, identity, ts):
+        # the points are written by hand: they must read exactly as json.dumps writes them
+        monkeypatch.setattr(cli.stats, "column", lambda name, n_max, r, t=None: [-1] * (n_max + 1))
+        code, out, _ = run(capsys, "verify", identity, "--r", "3", "--n-max", "3",
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and out == json.dumps(payload, indent=2) + "\n"
+        assert {p["status"] for p in payload["points"]} >= {"fail"}
+        assert {p["t"] for p in payload["points"]} == ts
+
     def test_short_column_is_a_usage_error(self, capsys, monkeypatch):
         # a side with too few values must not pass by comparing fewer points
         monkeypatch.setattr(cli.stats, "column", lambda name, n_max, r, t=None: [0] * n_max)
@@ -383,7 +401,7 @@ class TestVerify:
             wrong = {1: 9, 3: 4}.get(t) if family == "mixed" else None
             if wrong is None or wrong > bound:
                 return series
-            return series + qseries.TruncatedSeries.monomial(bound, wrong)
+            return series + qseries.TruncatedSeries(bound, [0] * wrong + [1])
 
         monkeypatch.setattr(cli.qseries, "lambert_sum", faulty)
         code, out, _ = run(capsys, "verify", "series", "--r", "4", "--n-max", "12")

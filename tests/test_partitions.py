@@ -53,12 +53,6 @@ class TestConstruction:
     def test_empty_is_partition_of_zero(self):
         assert Partition().size == 0 and len(Partition()) == 0
 
-    def test_part_at_zero_pads(self):
-        lam = Partition((3, 1))
-        assert lam.part_at(1) == 3 and lam.part_at(2) == 1 and lam.part_at(7) == 0
-        with pytest.raises(IndexError):
-            lam.part_at(0)
-
 
 class TestParse:
     def test_exponential_fixture(self):
@@ -78,8 +72,6 @@ class TestParse:
             parse_partition("3,0")
         with pytest.raises(ValueError, match="4\\^0"):
             parse_partition("4^0")
-        with pytest.raises(ValueError, match="plain"):
-            parse_partition("4^2", notation="plain")
 
     @given(partitions_st)
     def test_round_trip_both_notations(self, lam):
@@ -96,15 +88,14 @@ class TestParse:
         st.one_of(st.sampled_from(["", " ", "0", "-3", "x", "^", "1^", "^2", "2^0", "3^-1",
                                    "1.5", "1^2^3", "1^100001", "nan", "\u0663", "1 2"]),
                   st.text("0123456789^-+ ,x", max_size=4)).map(lambda junk: (junk, None))),
-        max_size=8), st.sampled_from(["auto", "plain", "exponential"]))
-    def test_text_parses_to_its_multiset_or_raises_value_error(self, tokens, notation):
+        max_size=8))
+    def test_text_parses_to_its_multiset_or_raises_value_error(self, tokens):
         text = ",".join(token for token, _ in tokens)
         try:
-            got = parse_partition(text, notation)
+            got = parse_partition(text)
         except ValueError:
             got = None
-        if all(parts is not None for _, parts in tokens) and (
-                notation != "plain" or "^" not in text):
+        if all(parts is not None for _, parts in tokens):
             assert got == Partition(sorted(sum((parts for _, parts in tokens), []),
                                            reverse=True)), text
         if got is not None:
@@ -177,7 +168,7 @@ class TestConjugate:
         assert conj.conjugate() == lam
         # column j of the Ferrers diagram holds one cell per part >= j
         assert list(conj) == [sum(1 for p in lam if p >= j)
-                              for j in range(1, lam.part_at(1) + 1)]
+                              for j in range(1, max(lam, default=0) + 1)]
 
     def test_swaps_bounded_and_flat_families(self):
         for r in range(2, 6):
@@ -260,10 +251,6 @@ class TestBoolIsNotAnInteger:
             rectangle(True, 2)
         with pytest.raises(ValueError):
             rectangle(2, True)
-
-    def test_scale(self):
-        with pytest.raises(ValueError):
-            Partition((2, 1)).scale(True)
 
     def test_rectangle_pair(self):
         with pytest.raises(ValueError):
