@@ -227,8 +227,7 @@ def _xi_kernel(lam, r):
     if 0 in residues:
         raise ConstructionError(
             f"image ({Partition._make(output)}) is not {r}-regular", _unfinished(values))
-    given = [p % r for p in lam]
-    if any(residues.count(t) != given.count(t) for t in range(1, r)):
+    if sorted(residues) != sorted([p % r for p in lam if p % r]):
         raise ConstructionError(
             f"image ({Partition._make(output)}) changes the residue profile mod {r}",
             _unfinished(values))
@@ -439,13 +438,10 @@ def psi1_inverse(pair, r, t=None):
 @_map((Family.O_STAR,), (PairSet.P_RT,), takes_t=True)
 def psi2_forward(lam, r, t=None):
     """Remove the marked value down to the mark's rank, then invert xi."""
-    base, value = lam.base, lam.value
-    first = base.index(value)
-    i = lam.position - first  # rank of the mark among equal parts
-    remainder = Partition._make(
-        [p for idx, p in enumerate(base) if not (p == value and idx < first + i)]
-    )
-    return RectanglePair(xi_inverse(remainder, r), value, i)
+    base, value, position = lam.base, lam.value, lam.position
+    first = base.index(value)  # base[first:position]: the copies of value up to the mark
+    remainder = Partition._make([*base[:first], *base[position:]])
+    return RectanglePair(xi_inverse(remainder, r), value, position - first)
 
 
 @_map((PairSet.P_RT,), (Family.O_STAR,), takes_t=True)
@@ -460,7 +456,7 @@ def psi2_inverse(pair, r, t=None):
 # ---------------------------------------------------------------------------
 
 def _remove_one(base, position):
-    return Partition._make([p for idx, p in enumerate(base, start=1) if idx != position])
+    return Partition._make([*base[:position - 1], *base[position:]])
 
 
 def _overline_last(nu, i):
@@ -494,14 +490,8 @@ def psi_d_inverse(pair, r, t=None):
 def psi_t_forward(lam, r, t=None):
     """Remove r copies of the overloaded value, conjugate, record i = r*value."""
     j = next(v for v, c in lam.multiplicities().items() if c >= r)
-    survivors = []
-    dropped = 0
-    for p in lam:
-        if p == j and dropped < r:
-            dropped += 1
-        else:
-            survivors.append(p)
-    return RectanglePair(Partition._make(survivors).conjugate(), 1, r * j)
+    i = lam.index(j)
+    return RectanglePair(Partition._make([*lam[:i], *lam[i + r:]]).conjugate(), 1, r * j)
 
 
 @_map((PairSet.A_T,), (Family.T_R,))

@@ -185,8 +185,13 @@ def _check(report):
 
     runs = [(t, column(lhs, t), column(rhs, t)) for per_t, lhs, rhs in checks
             for t in (report.t_values if per_t else (None,))]
-    report.blocks = ([[run for run in runs if run[0] == t] for t in (None, *report.t_values)]
-                     if route == "series" else [runs])
+    if route == "series":  # one block per t, in first-seen order: the t-free checks first
+        by_t = {}
+        for run in runs:
+            by_t.setdefault(run[0], []).append(run)
+        report.blocks = list(by_t.values())
+    else:
+        report.blocks = [runs]
 
 
 def _element_json(x):

@@ -59,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from math import isqrt, log
+from math import log, log2, pi, sqrt
 from operator import add, mul
 
 from .partitions import (
@@ -155,7 +155,7 @@ _SPEC = {
 
 # The largest n counted.  The costliest tables a count builds at r <= 7 are
 # the regular and bounded totals behind Ostar and Fbar (Fbar reads its gaps
-# as the repeats of Dr, see _stat): at r = 7 the counts took 3.1 s and 2.0 s
+# as the repeats of Dr, see _stat): at r = 7 the counts took 1.7 s and 1.1 s
 # in a fresh process at n = 2048, and the two tables took 14 s and 9 s to
 # build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is refused
 # before any table is built.  A plain-family count at n = 2048 peaked at
@@ -171,8 +171,8 @@ COUNT_LIMIT = 2048
 # per run, about size ln(size) runs: bits * size * (1 + (violations + 1)
 # ln(size) / states) bit operations in all.  On a grid of 116 builds, those
 # of a second or more took 0.5 to 2 times the work times 17 ps.  The
-# costliest table at r <= 7 and size 2048, the F1r totals (9.0 MiB, 3.0e11
-# bit operations, 7.5 s), is under both limits, so every table at r <= 7 is
+# costliest table at r <= 7 and size 2048, the F1r totals (9.2 MiB, 3.1e11
+# bit operations, 8 s), is under both limits, so every table at r <= 7 is
 # built; the F1r totals are first refused at r = 10.  r close to n is
 # refused: the Fbar count at r = 300 and n = 2000 would hold 23 MiB and take
 # 3.4e12 bit operations.
@@ -202,7 +202,7 @@ def _table(n, rule, viol, r, totals):
         if n > COUNT_LIMIT:  # refused before any table is built
             raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
         size = _size(n, held[0])
-        width = _width(size, rule, totals)
+        width = _width(size, totals)
         start = _build(size, rule, viol, r, totals, width)[0]
         held[:] = size, [_blocks(x, size, width) for x in start]
     return held[1]
@@ -226,18 +226,17 @@ def _read(lo, hi, rule, viol, r):
     return _table(hi, rule, viol, r, False)[0][lo:hi + 1]
 
 
-def _width(size, rule, totals):
-    # Bits per block.  A state with k left has at most p(k) completions, and
-    # each adds at most k + 1 to a statistic, so no block carries into the
-    # next.  The plain count table, which gives p, is sized by the bound
-    # p(k) < e^(pi sqrt(2k/3)) (Apostol, Introduction to Analytic Number
-    # Theory, Thm 14.5), a bit length of at most 3.71 sqrt(k) + 1, which
-    # 4 isqrt(k) + 4 > 4 sqrt(k) covers for k >= 12 (the tests check every
-    # k <= 4096).
-    if rule == "none" and not totals:
-        return 4 * isqrt(size) + 4
-    p = _read(size, size, "none", 0, None)[0]
-    return ((size + 1) * p if totals else p).bit_length()
+def _width(size, totals):
+    # Bits per block.  A state with k left has at most p(k) <= p(size)
+    # completions, and each adds at most k + 1 to a statistic, so no block
+    # carries into the next once p(n), n = size, fits in w(n) = floor(pi
+    # sqrt(2n/3) / ln 2 - log2 n) + 1 bits: the leading term e^(pi
+    # sqrt(2n/3)) / n of the Hardy-Ramanujan asymptotic of p(n), its factor
+    # 1/(4 sqrt 3) left out as slack.  The bound is checked, not proven: the
+    # tests check it at every n <= 4096, past COUNT_LIMIT, with 2 to 3 bits
+    # to spare.  A totals block adds the bits of size + 1.
+    bits = int(pi * sqrt(2 * size / 3) / log(2) - log2(size)) + 1 if size else 1
+    return bits + (size + 1).bit_length() if totals else bits
 
 
 def _build(size, rule, viol, r, totals, width):

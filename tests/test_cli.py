@@ -332,6 +332,13 @@ class TestVerify:
             capsys, "verify", "series", "--r", "2", "--n-max", "12")
         assert code == 0
 
+    def test_series_at_a_wide_modulus_groups_its_runs_in_one_pass(self, capsys):
+        # 2 + 5 (r - 1) runs, each placed in its t's block once, not once per t
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "series", "--r", "10000", "--n-max", "5")
+        assert time.perf_counter() - start < 3
+        assert code == 0 and " 299982/299982 " in out
+
     def test_csv_schema(self, capsys):
         code, out, _ = run(
             capsys, "verify", "beck2", "--r", "2", "--n-max", "4", "--format", "csv")

@@ -5,7 +5,6 @@ import time
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
-from math import isqrt
 from operator import add
 from unittest import mock
 
@@ -386,11 +385,14 @@ def builds(monkeypatch):
 
 class TestTables:
     def test_block_width_bound(self):
-        # the plain count table's blocks hold p(n): 4 isqrt(n) + 4 bits suffice
+        # the closed-form width holds p(n), and the totals width (n + 1) p(n),
+        # at every table size: the bound is checked here, not proven
+        assert families.COUNT_LIMIT <= 4096
         p = partition_numbers(4096)
         assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
         for n in range(4097):
-            assert families._width(n, "none", False) >= p[n].bit_length(), n
+            assert families._width(n, False) >= p[n].bit_length(), n
+            assert families._width(n, True) >= ((n + 1) * p[n]).bit_length(), n
 
     def test_sizes_past_the_limit_are_refused_unbuilt(self, builds):
         n = families.COUNT_LIMIT + 1
@@ -404,8 +406,7 @@ class TestTables:
         # The limits are checked before the first rule call, so a rule that
         # raises shows a table would be built without building it.
         size = families.COUNT_LIMIT
-        widths = {(rule, totals): families._width(size, rule, totals)
-                  for rule in families._RULES for totals in (False, True)}
+        widths = {totals: families._width(size, totals) for totals in (False, True)}
 
         class Passed(Exception):
             pass
@@ -418,11 +419,11 @@ class TestTables:
             for totals in (False, True):
                 for r in (None,) if rule == "none" and not totals else range(2, 8):
                     with pytest.raises(Passed):
-                        families._build(size, rule, viol, r, totals, widths[rule, totals])
+                        families._build(size, rule, viol, r, totals, widths[totals])
         with pytest.raises(Passed):  # the costliest table, the F1r totals, still at r = 9
-            families._build(size, "gap", 1, 9, True, widths["gap", True])
+            families._build(size, "gap", 1, 9, True, widths[True])
         with pytest.raises(ValueError, match="r = 10 is too large"):
-            families._build(size, "gap", 1, 10, True, widths["gap", True])
+            families._build(size, "gap", 1, 10, True, widths[True])
 
     def test_reads_from_a_larger_table_equal_cold_reads(self):
         def reads():
@@ -445,8 +446,7 @@ class TestTables:
         # A plain count table and a totals table read cold at 1500, then at
         # 1600 and 2048: the second read builds at min(2 * 1500, COUNT_LIMIT)
         # and the third reads that table.  Each read equals a cold read.
-        specs = [(*families._SPEC[Family.O_1R], 2, False), (*families._SPEC[Family.D_R], 2, True),
-                 ("none", 0, None, False)]
+        specs = [(*families._SPEC[Family.O_1R], 2, False), (*families._SPEC[Family.D_R], 2, True)]
 
         def read(n):
             return count(n, Family.O_1R, 2), totals(n, Family.D_R, 2)
@@ -457,7 +457,7 @@ class TestTables:
             rising.append(read(n))
             sizes.append([families._held(*spec)[0] for spec in specs])
         assert max(map(max, sizes)) <= families.COUNT_LIMIT
-        assert sizes == [[1500] * 3, [2048] * 3, [2048] * 3]
+        assert sizes == [[1500] * 2, [2048] * 2, [2048] * 2]
         for n, got in zip((1600, 2048), rising[1:]):  # the read at 1500 was cold
             families.clear_caches()
             assert read(n) == got, n
@@ -479,7 +479,7 @@ class TestTables:
         families.clear_caches()
         assert cli.main(["verify", "beck3", "--r", "6", "--n-max", "22"]) == 0
         assert sorted(builds, key=repr) == sorted([
-            ("none", 0, None, False), ("value", 1, 6, False), ("mult", 1, 6, False),
+            ("value", 1, 6, False), ("mult", 1, 6, False),
             ("value", 0, 6, True), ("mult", 0, 6, True)], key=repr)
 
     def test_gaps_are_read_from_the_conjugate_totals(self, builds):
@@ -498,18 +498,17 @@ class TestTables:
             return builds[:]
 
         families.clear_caches()
-        assert cold_count() == [("none", 0, None, False), ("value", 0, 3, False),
-                                ("mult", 0, 3, False)]
+        assert cold_count() == [("value", 0, 3, False), ("mult", 0, 3, False)]
         assert cold_count() == []
         families.clear_caches()
-        assert len(cold_count()) == 3
+        assert len(cold_count()) == 2
         for name, module in list(sys.modules.items()):
             # every cache of the package, as a harness that clears them all finds it
             if name == "beckpart" or name.startswith("beckpart."):
                 for obj in list(vars(module).values()):
                     if callable(getattr(obj, "cache_clear", None)):
                         obj.cache_clear()
-        assert len(cold_count()) == 3
+        assert len(cold_count()) == 2
 
 
 def test_clear_caches_empties_every_memo():
