@@ -334,6 +334,11 @@ def _names(sets):
     return " or ".join(s.value for s in sets)
 
 
+def _shown(x):
+    # x for an error message: a pair's text brings its own parentheses
+    return str(x) if isinstance(x, RectanglePair) else f"({x})"
+
+
 def _map(domain, codomain, takes_t=False):
     """Declare a companion direction from r, t and x in ``domain`` to ``codomain``.
 
@@ -357,12 +362,12 @@ def _map(domain, codomain, takes_t=False):
             if not isinstance(x, (Partition, DecoratedPartition, RectanglePair)):
                 x = Partition(x)
             if not any(test(x, r, t) for test in inside):
-                raise BijectionError(f"({x}) is not in {_names(domain)} at r = {r}"
+                raise BijectionError(f"{_shown(x)} is not in {_names(domain)} at r = {r}"
                                      + (f", t = {t}" if t else ""))
             image = body(x, r, t)
             if not (any(test(image, r, t) for test in onto) and image.size == x.size):
-                raise ConstructionError(
-                    f"{name} image is not in {_names(codomain)} with size {x.size}: ({image})")
+                raise ConstructionError(f"{name} image is not in {_names(codomain)} "
+                                        f"with size {x.size}: {_shown(image)}")
             return image
 
         checked.domain, checked.codomain, checked.takes_t = domain, codomain, takes_t

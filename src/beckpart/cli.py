@@ -439,10 +439,15 @@ def _quiet_stdout():
     os.close(devnull)
 
 
+_parser = None  # built by the first main call and reused: a constant, not a memo
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

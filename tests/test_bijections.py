@@ -373,6 +373,7 @@ class TestImageChecks:
         for line, (name, fault, sets) in zip(out[1:], expected):
             assert line.startswith(
                 f"{name} {fault} ConstructionError: {name} image is not in {sets} with size"), line
+            assert "(((" not in line, line  # a pair image's text brings its own parentheses
 
 
 _DIVERGENT_KERNEL = """

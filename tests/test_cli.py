@@ -24,6 +24,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def mask_elapsed(out):
+    # verify's elapsed time, in text and in json, is the one output that varies
+    out = re.sub(r"\(\d+\.\d\ds\)$", "(-s)", out, flags=re.M)
+    return re.sub(r'"elapsed": [^,\n]+', '"elapsed": 0', out)
+
+
 class TestBijectionCommand:
     def test_xi_trace_fixture(self, capsys):
         code, out, _ = run(
@@ -88,6 +94,17 @@ class TestBijectionCommand:
             capsys, "bijection", "--map", "xi", "--r", "3", "--partition", "7,1")
         assert code == 2 and "flat" in err
 
+    # an input outside the domain is named once in parentheses; a pair's text
+    # brings its own
+    @pytest.mark.parametrize("argv, err", [
+        ("bijection --map psi-t --r 2 --partition 1,1 --inverse --rect-count 1",
+         "error: ((1,1), (1^1)) is not in At at r = 2\n"),
+        ("bijection --map phi --r 5 --partition 1,1", "error: (1,1) is not in F1r at r = 5\n"),
+        ("bijection --map psi2 --r 5 --t 2 --partition 3,1 --mark-position 1",
+         "error: (3*,1) is not in Ostar at r = 5, t = 2\n"),
+    ])
+    def test_input_outside_the_domain_is_named(self, capsys, argv, err):
+        assert run(capsys, *argv.split()) == (2, "", err)
 
     # A flag the call would ignore exits 2 and names the flag.
     IGNORED_FLAGS = [
@@ -214,20 +231,19 @@ def enumerate_grid(rs, n_max):
                         yield argv + ([] if t is None else ["--t", str(t)])
 
 
-def enumerate_output(parser, argv):
-    # one parser for the grid: building it per call would dominate the test
-    args = parser.parse_args(argv)
+def enumerate_output(argv):
     out = io.StringIO()
-    assert cli._COMMANDS[args.command](args, out) == 0
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
     return out.getvalue()
 
 
 def listed(argv):
     """The members enumerate lists for argv, straight from the families module."""
-    args = cli.build_parser().parse_args(argv)
-    if args.family is not None:
-        return list(families.enumerate_family(args.n, args.family, args.r, args.t))
-    return list(families.enumerate_family(args.n, args.pairset, args.r, args.t))
+    flags = dict(zip(argv[1::2], argv[2::2]))  # enumerate_grid's argv: flag, value, ...
+    tag, t = flags.get("--family") or flags["--pairset"], flags.get("--t")
+    return list(families.enumerate_family(int(flags["--n"]), tag, int(flags["--r"]),
+                                          None if t is None else int(t)))
 
 
 class TestEnumerateOutput:
@@ -241,21 +257,19 @@ class TestEnumerateOutput:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_output_digest(self, fmt):
-        parser = cli.build_parser()
         h = hashlib.sha256()
         for argv in enumerate_grid(range(2, 6), 16):
             h.update(" ".join(argv).encode() + b"\0"
-                     + enumerate_output(parser, argv + ["--format", fmt]).encode())
+                     + enumerate_output(argv + ["--format", fmt]).encode())
         assert h.hexdigest() == self.DIGESTS[fmt]
 
     @pytest.mark.parametrize("block", [cli._BLOCK, 3])
     def test_blocks_write_the_bytes_of_the_whole_list(self, monkeypatch, block):
         monkeypatch.setattr(cli, "_BLOCK", block)
-        parser = cli.build_parser()
         for argv in enumerate_grid((3,), 10):
             members = listed(argv)
-            assert enumerate_output(parser, argv) == "".join(f"{x}\n" for x in members)
-            assert enumerate_output(parser, argv + ["--format", "json"]) == \
+            assert enumerate_output(argv) == "".join(f"{x}\n" for x in members)
+            assert enumerate_output(argv + ["--format", "json"]) == \
                 json.dumps([cli._element_json(x) for x in members]) + "\n", argv
 
     def test_empty_stream(self, capsys):
@@ -501,8 +515,7 @@ class TestVerify:
         digest = hashlib.sha256()
         for argv in self.grid(identity):
             code, out, _ = run(capsys, "verify", *argv, "--format", fmt)
-            out = re.sub(r"\(\d+\.\d\ds\)$", "(-s)", out, flags=re.M)
-            out = re.sub(r'"elapsed": [^,\n]+', '"elapsed": 0', out)
+            out = mask_elapsed(out)
             digest.update(f"{' '.join(argv)} -> {code}\n{out}".encode())
         fmts = ("text", "json", "csv")
         assert digest.hexdigest()[:16] == self.GRID_DIGESTS[identity][fmts.index(fmt)]
@@ -705,18 +718,103 @@ FUZZ_ARGV = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.tuples(
               _option("--n", st.just(4), present=True))))
 
 
+def _argv(parts, rnd):
+    command, *groups = parts
+    rnd.shuffle(groups)  # the order of flags, and of the identity, is free
+    return sum(groups, [command])
+
+
+def _answer(argv):
+    # main's exit code, its stdout with verify's elapsed time masked, its stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, mask_elapsed(out.getvalue()), err.getvalue()
+
+
+def _fresh_answer(argv):
+    cli._parser = None  # so this main call builds the parser anew
+    return _answer(argv)
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(FUZZ_ARGV, st.randoms(use_true_random=False))
     def test_main_exits_zero_one_or_two_and_raises_nothing(self, parts, rnd):
-        command, *groups = parts
-        rnd.shuffle(groups)  # the order of flags, and of the identity, is free
-        argv = sum(groups, [command])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        argv = _argv(parts, rnd)
+        code, _, err = _answer(argv)
         assert code in (0, 1, 2), (argv, code)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(FUZZ_ARGV, FUZZ_ARGV, st.randoms(use_true_random=False))
+    def test_a_reused_parser_answers_as_a_fresh_one(self, a, b, rnd):
+        a, b = _argv(a, rnd), _argv(b, rnd)
+        fresh = _fresh_answer(b)
+        _fresh_answer(a)  # the parser b reuses was built for a and parsed it
+        assert _answer(b) == fresh, (a, b)
+
+    @pytest.mark.parametrize("first", [
+        "--help", "verify --help", "bijection --help", "", "verify nonsense --r 2",
+        "count --family Or --r x --n 4"])
+    def test_a_parser_first_used_for_help_or_a_usage_error_answers_as_a_fresh_one(self, first):
+        first = first.split()
+        for then in (first, "--help".split(), "verify beck3 --r 3 --n-max 5".split(),
+                     "bijection --map zeta --r 3 --partition 2 --rect-count 1".split()):
+            fresh = _fresh_answer(then)
+            _fresh_answer(first)
+            assert _answer(then) == fresh, (first, then)
+
+
+class TestOneParser:
+    # main builds its parser tree on its first call and reuses it after: not
+    # at import, and not again once every cache of the package is cleared
+    SCRIPT = """if True:
+        import argparse, contextlib, io, sys
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counted
+        import beckpart.cli as cli
+
+        def built_after(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(list(argv))
+            return len(built)
+
+        def clear_caches():
+            # every cache_clear in the loaded beckpart modules and their classes
+            for name, module in list(sys.modules.items()):
+                if name == "beckpart" or name.startswith("beckpart."):
+                    for obj in list(vars(module).values()):
+                        members = [obj]
+                        if isinstance(obj, type) and obj.__module__ == name:
+                            members = [getattr(m, "__func__", m) for m in vars(obj).values()]
+                        for m in members:
+                            if callable(getattr(m, "cache_clear", None)):
+                                m.cache_clear()
+
+        print(len(built))
+        print(built_after("verify", "beck3", "--r", "3", "--n-max", "6"))
+        print(built_after("count", "--family", "Or", "--r", "3", "--n", "9"))
+        clear_caches()
+        print(built_after("verify", "beck2", "--r", "3", "--n-max", "6"))
+        print(built_after("series", "--gf", "O_r", "--r", "3", "--degree", "5"))
+    """
+
+    def test_one_parser_per_process_and_none_at_import(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        tree = 1 + len(cli._COMMANDS)  # the top parser and one per subcommand
+        assert [int(line) for line in done.stdout.split()] == [0, tree, tree, tree, tree]
 
 
 class TestModuleEntry:
