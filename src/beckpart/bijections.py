@@ -248,7 +248,7 @@ def xi_forward(lam, r, t=None):
     _check_modulus(r)
     _check_takes_t("xi_forward", r, t, False)
     if not _is_flat_list(lam, r):
-        raise BijectionError(f"xi_forward needs an {r}-flat partition, got ({lam})")
+        raise BijectionError(f"xi_forward needs an r-flat partition at r = {r}, got ({lam})")
     return XiTrace(_xi_kernel(lam, r))
 
 
@@ -291,7 +291,7 @@ def xi_inverse(kappa, r, t=None):
     _check_takes_t("xi_inverse", r, t, False)
     s = [p % r for p in kappa]
     if 0 in s:
-        raise BijectionError(f"xi_inverse needs an {r}-regular partition, got ({kappa})")
+        raise BijectionError(f"xi_inverse needs an r-regular partition at r = {r}, got ({kappa})")
     if not kappa:
         return Partition()
 

@@ -68,6 +68,7 @@ from .partitions import (
     OVERLINE,
     Partition,
     RectanglePair,
+    _TEXTS,
     _check_modulus,
     _check_takes_t,
     _is_flat_list,
@@ -411,6 +412,7 @@ def _walk(n, rule, viol, r):
         memo[n, prev, used] = tuple(found)
 
     top = memo.get((n, 0, 0))
+    make = tuple.__new__  # Partition._make without its frame: parts is canonical
     parts = []
     stack = [(search(n, 0, 0) if top is None else iter(top), 0)]
     while stack:
@@ -421,7 +423,7 @@ def _walk(n, rule, viol, r):
             if below is not None:
                 stack.append((iter(below), len(parts)))
                 break
-            yield Partition._make(parts)
+            yield make(Partition, parts)
         else:
             stack.pop()
 
@@ -638,10 +640,10 @@ def is_member(x, tag, r, t=None):
 
 
 def clear_caches():
-    """Empty every memo table of the module.
+    """Empty every memo table of the package.
 
-    That is the count and totals tables, the lister's walk states, and the
-    results of ``count``.
+    That is the count and totals tables, the lister's walk states, the
+    results of ``count`` and the texts of part values.
     """
-    for memo in (_held, _memo, count):
+    for memo in (_held, _memo, count, _TEXTS):
         memo.cache_clear()

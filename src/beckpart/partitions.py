@@ -61,6 +61,23 @@ def _conjugate(parts):
     return list(accumulate(map(mult.get, range(parts[0], 0, -1), repeat(0))))[::-1]
 
 
+class _Texts(dict):
+    # The decimal text of each part value, made by ``str`` on its first use
+    # and kept for the process: a listing renders a few dozen distinct
+    # values over and over.  Part values are exact ints (``Partition``
+    # refuses int subclasses), so no two keys of one hash render apart.
+    def __missing__(self, v):
+        text = self[v] = str(v)
+        return text
+
+
+_TEXTS = _Texts()
+# the memo's own cache_clear, as a functools cache has; on the instance, so
+# that a harness calling every cache_clear it finds never meets an unbound one
+_TEXTS.cache_clear = _TEXTS.clear
+_text = _TEXTS.__getitem__
+
+
 class Partition(tuple):
     """A partition: non-increasing tuple of positive integers."""
 
@@ -147,7 +164,7 @@ class Partition(tuple):
     # -- rendering ----------------------------------------------------------
 
     def to_plain(self):
-        return ",".join(map(str, self))
+        return ",".join(map(_text, self))
 
     def to_exponential(self):
         return ",".join(
@@ -292,7 +309,7 @@ class DecoratedPartition:
         return x
 
     def text(self):
-        bits = list(map(str, self.base))
+        bits = list(map(_text, self.base))
         bits[self.position - 1] += "*" if self.decoration == MARK else "~"
         return ",".join(bits)
 

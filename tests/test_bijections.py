@@ -71,7 +71,7 @@ def xi_inverse_table(kappa, r):
     kappa = _as_partition(kappa)
     _check_modulus(r)
     if not all(p % r for p in kappa):
-        raise BijectionError(f"xi_inverse needs an {r}-regular partition, got ({kappa})")
+        raise BijectionError(f"xi_inverse needs an r-regular partition at r = {r}, got ({kappa})")
     try:
         return Partition._make(_forward_table(r, kappa.size)[tuple(kappa)])
     except KeyError:

@@ -102,6 +102,13 @@ class TestBijectionCommand:
         ("bijection --map phi --r 5 --partition 1,1", "error: (1,1) is not in F1r at r = 5\n"),
         ("bijection --map psi2 --r 5 --t 2 --partition 3,1 --mark-position 1",
          "error: (3*,1) is not in Ostar at r = 5, t = 2\n"),
+        # xi names its domain with an article that reads right at every r
+        ("bijection --map xi --r 3 --partition 5,5,4",
+         "error: xi_forward needs an r-flat partition at r = 3, got (5,5,4)\n"),
+        ("bijection --map xi-inv --r 2 --partition 4,1",
+         "error: xi_inverse needs an r-regular partition at r = 2, got (4,1)\n"),
+        ("bijection --map xi --inverse --r 8 --partition 16,3",
+         "error: xi_inverse needs an r-regular partition at r = 8, got (16,3)\n"),
     ])
     def test_input_outside_the_domain_is_named(self, capsys, argv, err):
         assert run(capsys, *argv.split()) == (2, "", err)

@@ -1,12 +1,16 @@
-"""The package's public names: the exported set, and one name per function."""
+"""The package's public names (the exported set, one name per function) and its memos."""
 
+import contextlib
 import importlib
 import inspect
+import io
 import pkgutil
+import sys
 
 import pytest
 
 import beckpart
+from beckpart import cli, partitions
 
 MODULES = [beckpart] + [importlib.import_module(f"beckpart.{m.name}")
                         for m in pkgutil.iter_modules(beckpart.__path__)]
@@ -36,3 +40,36 @@ def test_exported_names():
         "qseries", "rectangle", "stat_report", "stats", "total_repeated_values",
         "total_residue_parts", "xi_forward", "xi_inverse", "zeta_forward", "zeta_inverse",
     ]
+
+
+def memos():
+    # every holder with a cache_clear in the loaded beckpart modules and
+    # their classes, as a harness that clears them all finds it
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "beckpart" or name.startswith("beckpart."):
+            for obj in vars(module).values():
+                members = [obj]
+                if inspect.isclass(obj) and obj.__module__ == name:
+                    members = [getattr(m, "__func__", m) for m in vars(obj).values()]
+                found.update((id(m), m) for m in members
+                             if callable(getattr(m, "cache_clear", None)))
+    return list(found.values())
+
+
+def held(memo):
+    # the entries a memo holds: a functools cache reports its own size
+    return len(memo) if isinstance(memo, dict) else memo.cache_info().currsize
+
+
+def test_clear_caches_empties_every_memo_of_the_package():
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in ("enumerate --family Ostar --r 3 --t 1 --n 9",
+                     "count --family Fbar --r 3 --t 1 --n 9",
+                     "series --gf O_r --r 3 --degree 9"):
+            assert cli.main(argv.split()) == 0
+    found = memos()
+    assert any(m is partitions._TEXTS for m in found)
+    assert all(map(held, found))
+    beckpart.clear_caches()
+    assert [held(m) for m in found] == [0] * len(found)

@@ -1,7 +1,7 @@
 """Core partition type: operations, predicates, parsing, diagrams."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beckpart import (
@@ -10,6 +10,7 @@ from beckpart import (
     Family,
     Partition,
     RectanglePair,
+    clear_caches,
     enumerate_family,
     is_member,
     modular_diagram,
@@ -243,6 +244,48 @@ class TestDecorations:
 
     def test_rectangle(self):
         assert rectangle(5, 3) == Partition((5, 5, 5))
+
+
+# small parts repeat, as in a listing; large ones reach values of many digits
+parts_st = st.one_of(st.integers(1, 30), st.integers(1, 10 ** 30),
+                     st.integers(10 ** 29, 10 ** 30))
+big_partitions_st = st.lists(parts_st, max_size=12).map(Partition.from_multiset)
+
+
+@st.composite
+def decorated_st(draw):
+    base = draw(big_partitions_st.filter(len))
+    decoration = draw(st.sampled_from([MARK, OVERLINE]))
+    # an overline sits on the last occurrence of its value, a mark anywhere
+    spots = [i for i in range(1, len(base) + 1)
+             if decoration == MARK or i == len(base) or base[i] != base[i - 1]]
+    return DecoratedPartition(base, decoration, draw(st.sampled_from(spots)))
+
+
+def reference_text(x):
+    # the rendering built from str of every part
+    if isinstance(x, Partition):
+        return ",".join(map(str, x))
+    if isinstance(x, DecoratedPartition):
+        bits = list(map(str, x.base))
+        bits[x.position - 1] += "*" if x.decoration == MARK else "~"
+        return ",".join(bits)
+    return f"(({','.join(map(str, x.flat))}), ({x.part}^{x.count}))"
+
+
+class TestRendering:
+    @given(st.one_of(
+        big_partitions_st,
+        decorated_st(),
+        st.builds(RectanglePair, big_partitions_st, parts_st, st.integers(1, 10 ** 30)),
+    ))
+    @example(Partition((10 ** 30, 10 ** 30, 10 ** 29 + 7, 1)))
+    def test_text_equals_str_of_every_part(self, x):
+        # from a memo that may already hold the values, then from an empty one
+        assert str(x) == reference_text(x)
+        clear_caches()
+        assert str(x) == reference_text(x)
+        assert str(x) == reference_text(x)
 
 
 class TestBoolIsNotAnInteger:

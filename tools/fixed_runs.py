@@ -40,6 +40,8 @@ FIXED_RUNS = (
     "verify beck3 --r 20000 --n-max 30 --format json",
     "count --family Fbar --r 7 --t 1 --n 2048",
     "count --family Ostar --r 7 --t 1 --n 2048",
+    "enumerate --family all --r 2 --n 55",
+    "enumerate --family Ostar --r 3 --t 1 --n 52",
 )
 
 _CHILD = """\
