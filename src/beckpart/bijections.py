@@ -283,8 +283,9 @@ def xi_inverse(kappa, r, t=None):
     replaced, and that search never left it: on all 7,520 r-regular
     partitions of n <= 22 at r = 2..5 and on 240 random ones up to length
     400 at r <= 7, no part was taken and then given back, and no rebuild
-    failed.  The result is verified by re-running the forward map, so a
-    successful return is a certified preimage.
+    failed.  The result is verified by one run of the forward map's kernel,
+    not of ``xi_forward``, whose checks of r, t and flatness are made here
+    already, so a successful return is a certified preimage.
     """
     kappa = _as_partition(kappa)
     _check_modulus(r)
@@ -319,10 +320,8 @@ def xi_inverse(kappa, r, t=None):
         alpha[i] = s[i] + r * (m[i] + taken)
 
     lam_parts = sorted(alpha + betas + list(pool.elements()), reverse=True)
-    if _is_flat_list(lam_parts, r):
-        lam = Partition._make(lam_parts)
-        if xi_forward(lam, r).output == kappa:
-            return lam
+    if _is_flat_list(lam_parts, r) and _xi_kernel(lam_parts, r)[-1] == list(kappa):
+        return Partition._make(lam_parts)
     raise ConstructionError(f"no preimage of ({kappa}) under xi at r = {r}")
 
 

@@ -33,8 +33,10 @@ times.  Its table keeps one integer per statistic with one block of bits
 per size k, so a run of m is one shift of each integer.  One table per
 family is kept, the largest built, cut into one column per statistic, and
 serves every n up to its size: a read of one n or of a range of n is a
-slice.  n past ``COUNT_LIMIT`` and a table past ``TABLE_BITS`` or
-``TABLE_WORK`` (r close to n) are refused before anything is built.
+slice.  One gate, the cost model, sizes and refuses every table: a table
+past ``TABLE_BITS`` or ``TABLE_WORK`` is refused before anything is built.
+At r <= 7 it admits count tables up to sizes 7565 to 12099 and totals
+tables up to 2650 to 7006, and it refuses r close to n.
 
 Every decorated family and every pair set is one table entry as well: a
 base family with a rule for the positions that may carry the decoration
@@ -148,45 +150,41 @@ _SPEC = {
 # only the slots of the start state (used = 0, g = 0) are kept, each cut
 # into one column of its values at k = 0..size.  One holder per (rule,
 # violations, r, totals) keeps the columns of the largest table built, and
-# every read, of one n or of a range, is a slice of them.  A table is built
-# at the n asked for, but at least 16 and at least twice the held size, and
-# never past COUNT_LIMIT: a sweep that reads 0..n_max builds one table per
-# spec at size n_max, and a run of rising n rebuilds O(log n) times.
+# every read, of one n or of a range, is a slice of them.  A table that
+# holds n is built at twice the held size, and at least 16, where the cost
+# model admits that size, and otherwise at n itself: a sweep that reads
+# 0..n_max builds one table per spec at size n_max, and a run of rising n
+# rebuilds O(log n) times.
 # ---------------------------------------------------------------------------
 
-# The largest n counted.  The costliest tables a count builds at r <= 7 are
-# the regular and bounded totals behind Ostar and Fbar (Fbar reads its gaps
-# as the repeats of Dr, see _stat): at r = 7 the counts took 1.7 s and 1.1 s
-# in a fresh process at n = 2048, and the two tables took 14 s and 9 s to
-# build at size 4096 (Python 3.11, 2-core VM), so n past 2048 is refused
-# before any table is built.  A plain-family count at n = 2048 peaked at
-# 16-17 MiB RSS, and the Fbar and Ostar counts at r = 7 at 19 MiB.  A
-# table's cost also grows with cap = min(r, size + 1): the gap rule has
-# cap + 1 states and a totals table 2 cap slots (see TABLE_BITS).
-COUNT_LIMIT = 2048
-
-
-# The largest table built, refused before it is allocated.  A table keeps
+# The one gate on the tables: a table past TABLE_BITS or TABLE_WORK, as
+# _cost works them out, is refused before it is allocated.  A table keeps
 # states x slots integers of (size + 1) * width bits, and its build adds each
 # into the next m's at every m and shifts each slot (violations + 1) times
 # per run, about size ln(size) runs: bits * size * (1 + (violations + 1)
 # ln(size) / states) bit operations in all.  On a grid of 116 builds, those
-# of a second or more took 0.5 to 2 times the work times 17 ps.  The
-# costliest table at r <= 7 and size 2048, the F1r totals (9.2 MiB, 3.1e11
-# bit operations, 8 s), is under both limits, so every table at r <= 7 is
-# built; the F1r totals are first refused at r = 10.  r close to n is
+# of a second or more took 0.5 to 2 times the work times 17 ps.  At r <= 7
+# the model admits count tables up to sizes 7565 to 12099 and totals tables
+# up to 2650 to 7006.  In a fresh process (Python 3.11, 2-core VM) the Or
+# count at r = 3 took 4.7 s at n = 8192 and 12 s at n = 12099, the largest
+# admitted, and the costliest admitted build, the F1r count at r = 2 and
+# n = 8653, took 12 s; none peaked past 28 MiB RSS.  Every table at r <= 7
+# and size 2048 is admitted; the costliest, the F1r totals (9.2 MiB, 3.1e11
+# bit operations, 8 s), is first refused at r = 10.  r close to n is
 # refused: the Fbar count at r = 300 and n = 2000 would hold 23 MiB and take
 # 3.4e12 bit operations.
 TABLE_BITS = 1 << 27
 TABLE_WORK = 6 * 10 ** 11
 
 
-def _size(n, held):
-    # the size of the table built to hold n past the held size: n itself,
-    # at least 16, below which a table costs little more than its set-up,
-    # and at least twice the held size, so that rising n rebuild a
-    # logarithmic number of times; never past COUNT_LIMIT, which n is not
-    return min(max(n, 16, 2 * held), COUNT_LIMIT)
+def _cost(size, rule, viol, r, totals):
+    # the bits a table of the spec holds at size, the bit operations its
+    # build takes and its block width, with the states and slots _build keeps
+    cap = r and min(r, size + 1)
+    states = (viol + 1) * (cap + 1 if rule == "gap" else 1)
+    width = _width(size, totals)
+    bits = states * (2 * cap if totals else 1) * (size + 1) * width
+    return bits, bits * size * (1 + (viol + 1) * log(size) / states), width
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +198,15 @@ def _table(n, rule, viol, r, totals):
     # a larger one replaces the held table only once it is built
     held = _held(rule, viol, r, totals)
     if n > held[0]:
-        if n > COUNT_LIMIT:  # refused before any table is built
-            raise ValueError(f"n must be at most {COUNT_LIMIT} to be counted, got {n}")
-        size = _size(n, held[0])
-        width = _width(size, totals)
+        if n >= TABLE_BITS:  # every block holds a bit: refused uncosted, where floats overflow
+            raise ValueError(f"n = {n} is too large at r = {r}: past {TABLE_BITS >> 23} MiB")
+        for size in max(n, 16, 2 * held[0]), max(n, 16):  # doubled, else n's own
+            bits, work, width = _cost(size, rule, viol, r, totals)
+            if bits <= TABLE_BITS and work <= TABLE_WORK:
+                break
+        else:  # refused before any table is built
+            raise ValueError(f"n = {n} is too large at r = {r}: {bits >> 23} MiB and {work:.1e} "
+                             f"bit operations, past {TABLE_BITS >> 23} MiB or {TABLE_WORK:.0e}")
         start = _build(size, rule, viol, r, totals, width)[0]
         held[:] = size, [_blocks(x, size, width) for x in start]
     return held[1]
@@ -233,9 +236,10 @@ def _width(size, totals):
     # carries into the next once p(n), n = size, fits in w(n) = floor(pi
     # sqrt(2n/3) / ln 2 - log2 n) + 1 bits: the leading term e^(pi
     # sqrt(2n/3)) / n of the Hardy-Ramanujan asymptotic of p(n), its factor
-    # 1/(4 sqrt 3) left out as slack.  The bound is checked, not proven: the
-    # tests check it at every n <= 4096, past COUNT_LIMIT, with 2 to 3 bits
-    # to spare.  A totals block adds the bits of size + 1.
+    # 1/(4 sqrt 3) left out as slack.  The bound is checked, not proven: it
+    # keeps at least 2 bits to spare at every size 1..16384, past the largest
+    # table the cost model admits (12099, a plain count table), and the
+    # tests check it up to that size.  A totals block adds the bits of size + 1.
     bits = int(pi * sqrt(2 * size / 3) / log(2) - log2(size)) + 1 if size else 1
     return bits + (size + 1).bit_length() if totals else bits
 
@@ -255,11 +259,6 @@ def _build(size, rule, viol, r, totals, width):
     states = [(u, g) for u in range(viol + 1) for g in gs]
     skips = [u * len(gs) + (g and min(g + 1, cap)) for u, g in states]
     slots = 2 * cap if totals else 1
-    bits = len(states) * slots * (size + 1) * width
-    work = bits * size * (1 + (viol + 1) * log(size) / len(states))
-    if bits > TABLE_BITS or work > TABLE_WORK:
-        raise ValueError(f"r = {r} is too large to count at n up to {size}: the table "
-                         f"would hold {bits >> 23} MiB and take {work:.1e} bit operations")
 
     # the walk stops at m = 0 with k = 0, and g is then the final part
     table = [[(u + breaks(r, g, 0, 0) == viol) << size * width] + [0] * (slots - 1)

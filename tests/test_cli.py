@@ -537,6 +537,10 @@ class TestSizeLimits:
     # table or coefficient list is allocated.
     @pytest.mark.parametrize("argv", [
         "count --family Or --r 3 --n 1000000000",
+        # past the range of a float, where the cost model could not be worked out
+        *(pytest.param(f"{argv} 1{'0' * digits}", id=f"{argv} 1e{digits}")
+          for argv in ("count --family Or --r 3 --n", "verify glaisher --r 3 --n-max")
+          for digits in (130, 400)),
         "series --gf O_r --r 3 --degree 1000000000",
         "diagram --r 3 --partition 1^100000000000",
         "diagram --r 2 --partition 100000000000",
@@ -557,8 +561,12 @@ class TestSizeLimits:
         done = subprocess.run([sys.executable, "-m", "beckpart", *argv.split()], cwd=root,
                               env=env, capture_output=True, text=True, timeout=60,
                               preexec_fn=limit)
+        # a count or a check is refused by the cost model of its table, any
+        # other size by its limit
+        why = "is too large at r = 3: " if argv.startswith(("count", "verify")) \
+            else "must be at most"
         assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error:") and "must be at most" in done.stderr
+        assert done.stderr.startswith("error:") and why in done.stderr
         assert "Traceback" not in done.stderr
 
     @staticmethod
@@ -628,24 +636,27 @@ class TestSizeLimits:
         assert (code, out) == (2, "") and f"pair size must be at most {limit}" in err
 
     def test_count_past_the_limit_is_refused_at_once(self, capsys):
+        # past every count table the cost model admits at these r, and at
+        # 12100 just past the largest, the Or count at r = 3
         start = time.perf_counter()
         for size in ("--n", "--n-max"):
             for target in (("--family", "Or", "--r", "3"), ("--pairset", "A", "--r", "2")):
-                code, out, err = run(capsys, "count", *target, size, "20000")
-                assert (code, out) == (2, ""), err
-                assert f"n must be at most {families.COUNT_LIMIT}" in err
+                for n in ("12100", "20000"):
+                    code, out, err = run(capsys, "count", *target, size, n)
+                    assert (code, out) == (2, ""), err
+                    assert f"n = {n} is too large at r = {target[-1]}: " in err
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("argv, why", [
         # pair sets are counted from the flat count table, never listed, so this
         # count, once refused for its 7507569781 flat partitions, now answers
         ("count --pairset A --r 2 --n 200", "2257767718"),
-        ("count --pairset A --r 1000 --n 2000", "r = 1000 is too large to count"),
+        ("count --pairset A --r 1000 --n 2000", "n = 2000 is too large at r = 1000: "),
         # the gaps of a flat family are read as the repeats of its conjugate, a
         # table small enough to build: at r > n every partition is flat, and
         # the count is p(0) + ... + p(n - 1)
         ("count --family Fbar --r 300 --t 1 --n 200", "43087798145101"),
-        ("count --family Fbar --r 300 --t 1 --n 2000", "r = 300 is too large to count"),
+        ("count --family Fbar --r 300 --t 1 --n 2000", "n = 2000 is too large at r = 300: "),
     ])
     def test_costly_count_is_refused_at_once(self, capsys, argv, why):
         families.clear_caches()

@@ -178,8 +178,8 @@ def test_counts_are_the_counts_of_each_n():
                 families.clear_caches()
                 got = families.counts(18, tag, rr, t)
                 assert got == [count(n, tag, rr, t) for n in range(19)], (tag, r, t)
-    with pytest.raises(ValueError, match="at most"):
-        families.counts(families.COUNT_LIMIT + 1, Family.O_R, 3)
+    with pytest.raises(ValueError, match="n = 20000 is too large at r = 3"):
+        families.counts(20000, Family.O_R, 3)  # past every count table the model admits
     with pytest.raises(ValueError, match="non-negative"):
         families.counts(True, Family.O_R, 3)
 
@@ -349,6 +349,11 @@ class TestCountingAtScale:
         families.clear_caches()
         assert count(1000, Family.O_1R, 3) == gf("O_1r", 3, bound=1000)[1000]
 
+    def test_counts_past_2048_match_the_series(self):
+        # the count route past the old ceiling of 2048, against its series twin
+        families.clear_caches()
+        assert families.counts(3000, Family.O_R, 3) == list(gf("O_r", 3, bound=3000).coeffs)
+
     def test_counts_between_table_sizes(self):
         # n on either side of a power of two reads tables of different sizes
         for n in (15, 16, 17, 31, 32, 33, 64, 65):
@@ -369,6 +374,19 @@ def partition_numbers(n_max):
     return p
 
 
+def admits(size, rule, viol, r, totals):
+    # whether the cost model admits the table of the spec at size
+    bits, work, _ = families._cost(size, rule, viol, r, totals)
+    return bits <= families.TABLE_BITS and work <= families.TABLE_WORK
+
+
+def every_spec(rs):
+    # the (rule, violations, r, totals) of every table at the moduli rs
+    return [(rule, viol, r, totals) for rule, viol in sorted(set(families._SPEC.values()))
+            for totals in (False, True)
+            for r in ((None,) if rule == "none" and not totals else rs)]
+
+
 @pytest.fixture
 def builds(monkeypatch):
     # the (rule, violations, r, totals) of every table built, in order
@@ -385,45 +403,51 @@ def builds(monkeypatch):
 
 class TestTables:
     def test_block_width_bound(self):
-        # the closed-form width holds p(n), and the totals width (n + 1) p(n),
-        # at every table size: the bound is checked here, not proven
-        assert families.COUNT_LIMIT <= 4096
-        p = partition_numbers(4096)
+        # The closed-form width holds p(n), and the totals width (n + 1) p(n),
+        # at every size up to the largest table the cost model admits, that
+        # of the cheapest spec, the plain count table: no table at r <= 7 is
+        # admitted one size further.  The bound is checked here, not proven.
+        top = 2048
+        while admits(top + 1, "none", 0, None, False):
+            top += 1
+        assert not [spec for spec in every_spec(range(2, 8)) if admits(top + 1, *spec)]
+        p = partition_numbers(top)
         assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
-        for n in range(4097):
+        for n in range(top + 1):
             assert families._width(n, False) >= p[n].bit_length(), n
             assert families._width(n, True) >= ((n + 1) * p[n]).bit_length(), n
 
     def test_sizes_past_the_limit_are_refused_unbuilt(self, builds):
-        n = families.COUNT_LIMIT + 1
+        # past every table the cost model admits at these r: refused by the
+        # model, naming the n asked for, before any table is built
+        n = 20000
         for call in (lambda: count(n, Family.O_R, 3), lambda: count(n, Family.D_BAR, 3),
                      lambda: count(n, PairSet.A, 2), lambda: totals(n, Family.F_R, 3)):
-            with pytest.raises(ValueError, match="at most"):
+            with pytest.raises(ValueError, match=f"n = {n} is too large at r = [23]: "):
                 call()
         assert builds == []
 
-    def test_every_table_up_to_r_7_passes_the_cost_limits(self, monkeypatch):
-        # The limits are checked before the first rule call, so a rule that
-        # raises shows a table would be built without building it.
-        size = families.COUNT_LIMIT
-        widths = {totals: families._width(size, totals) for totals in (False, True)}
+    def test_every_table_up_to_r_7_passes_the_cost_limits(self, builds):
+        # the cost model admits every table at r <= 7 and size 2048, and the
+        # costliest, the F1r totals, still at r = 9; at r = 10 it is refused
+        # before it is built
+        assert all(admits(2048, *spec) for spec in every_spec(range(2, 8)))
+        assert admits(2048, "gap", 1, 9, True)
+        assert not admits(2048, "gap", 1, 10, True)
+        families.clear_caches()
+        with pytest.raises(ValueError, match="n = 2048 is too large at r = 10: "):
+            families._table(2048, "gap", 1, 10, True)
+        assert builds == []
 
-        class Passed(Exception):
-            pass
-
-        def passed(*_):
-            raise Passed
-
-        monkeypatch.setattr(families, "_RULES", dict.fromkeys(families._RULES, passed))
-        for rule, viol in set(families._SPEC.values()):
-            for totals in (False, True):
-                for r in (None,) if rule == "none" and not totals else range(2, 8):
-                    with pytest.raises(Passed):
-                        families._build(size, rule, viol, r, totals, widths[totals])
-        with pytest.raises(Passed):  # the costliest table, the F1r totals, still at r = 9
-            families._build(size, "gap", 1, 9, True, widths[True])
-        with pytest.raises(ValueError, match="r = 10 is too large"):
-            families._build(size, "gap", 1, 10, True, widths[True])
+    def test_the_cost_model_sizes_the_table_built(self):
+        # _cost works out the states and slots of a table apart from _build:
+        # its bits are those of the table _build lays out, at sizes below and
+        # past r, so the gate sizes the table that is built
+        for size in (1, 5, 16, 22):
+            for spec in every_spec((2, 3, 7, 30)):
+                bits, _, width = families._cost(size, *spec)
+                table = families._build(size, *spec, width)
+                assert len(table) * len(table[0]) * (size + 1) * width == bits, (size, spec)
 
     def test_reads_from_a_larger_table_equal_cold_reads(self):
         def reads():
@@ -444,8 +468,9 @@ class TestTables:
 
     def test_rising_reads_grow_the_tables_within_the_limit(self):
         # A plain count table and a totals table read cold at 1500, then at
-        # 1600 and 2048: the second read builds at min(2 * 1500, COUNT_LIMIT)
-        # and the third reads that table.  Each read equals a cold read.
+        # 1600 and 2048: the second read builds at 2 * 1500, which the cost
+        # model admits, and the third reads that table.  Each read equals a
+        # cold read.
         specs = [(*families._SPEC[Family.O_1R], 2, False), (*families._SPEC[Family.D_R], 2, True)]
 
         def read(n):
@@ -456,8 +481,8 @@ class TestTables:
         for n in (1500, 1600, 2048):
             rising.append(read(n))
             sizes.append([families._held(*spec)[0] for spec in specs])
-        assert max(map(max, sizes)) <= families.COUNT_LIMIT
-        assert sizes == [[1500] * 2, [2048] * 2, [2048] * 2]
+        assert all(admits(size, *spec) for spec in specs for size in (1500, 3000))
+        assert sizes == [[1500] * 2, [3000] * 2, [3000] * 2]
         for n, got in zip((1600, 2048), rising[1:]):  # the read at 1500 was cold
             families.clear_caches()
             assert read(n) == got, n

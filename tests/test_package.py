@@ -1,5 +1,6 @@
 """The package's public names (the exported set, one name per function) and its memos."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -40,6 +41,40 @@ def test_exported_names():
         "qseries", "rectangle", "stat_report", "stats", "total_repeated_values",
         "total_residue_parts", "xi_forward", "xi_inverse", "zeta_forward", "zeta_inverse",
     ]
+
+
+def imports(name):
+    # The beckpart submodules that beckpart.<name> imports, directly or
+    # through another submodule, read by an ast scan of their sources.
+    # Relative and absolute imports are both read.
+    submodules = {m.name for m in pkgutil.iter_modules(beckpart.__path__)}
+    seen, todo = set(), [name]
+    while todo:
+        source = inspect.getsource(importlib.import_module(f"beckpart.{todo.pop()}"))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("beckpart" if node.level else "", node.module)))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for full in names:
+                part = full.split(".")
+                if part[0] == "beckpart" and part[1:2] and part[1] in submodules - seen:
+                    seen.add(part[1])
+                    todo.append(part[1])
+    return seen
+
+
+def test_the_two_routes_import_nothing_of_each_other():
+    # counting (families, stats) and the series (qseries) are independent
+    # routes to the same numbers, so neither may read the other
+    assert "qseries" not in imports("families") | imports("stats")
+    assert not {"families", "stats"} & imports("qseries")
+    # the scan sees the imports there are, and follows them
+    assert imports("stats") == {"families", "partitions"}
+    assert {"bijections", "families", "qseries", "stats"} <= imports("cli")
 
 
 def memos():

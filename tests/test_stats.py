@@ -2,7 +2,7 @@
 
 import pytest
 
-from beckpart import stats
+from beckpart import families, stats
 from beckpart import (
     Family,
     Partition,
@@ -159,6 +159,22 @@ class TestColumns:
                           (lambda: stats.column("beck_b", 5, 1), "modulus")):
             with pytest.raises(ValueError, match=why):
                 call()
+
+
+    def test_a_read_answers_as_it_would_cold(self):
+        # A table grows to twice the held size only where the cost model
+        # admits that size, and is built at the n asked for otherwise, so a
+        # read gives the same answer, or the same refusal, whatever was read
+        # before it.  At r = 10**6 the flat totals are admitted at 110 but
+        # not at 2 * 100 = 200.
+        families.clear_caches()
+        cold = excess_Ert_flat(110, 10 ** 6, 1)
+        families.clear_caches()
+        excess_Ert_flat(100, 10 ** 6, 1)
+        assert excess_Ert_flat(110, 10 ** 6, 1) == cold
+        # refused at n = 200, not at the doubled 220, and named by that n
+        with pytest.raises(ValueError, match="^n = 200 is too large at r = 1000000: "):
+            excess_Ert_flat(200, 10 ** 6, 1)
 
 
 class TestInvariants:
