@@ -57,7 +57,7 @@ from .bijections import (
     zeta_forward,
     zeta_inverse,
 )
-from .qseries import TruncatedSeries, eta_quotient, gf, lambert_sum
+from .qseries import TruncatedSeries, gf, lambert_sum
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

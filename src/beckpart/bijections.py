@@ -15,18 +15,19 @@ rectangles:
 * ``zeta``   : trades a gap of r-1 at position j against an r-fold taller rectangle
 
 Every map takes ``(x, r, t=None)``.  Each direction of a companion map is
-declared once, by ``@_map(domain, codomain, takes_t)``: the families and
-pair sets its inputs and its images lie in, and whether it requires the
-residue t (psi1 and psi2) or refuses one (every other map), by the same
-rule as the families.  One checker reads the declaration.  It checks r and
-t on entry, raises ``BijectionError`` unless the input lies in a domain
-set, and raises ``ConstructionError`` unless the image lies in a codomain
-set and has the input's size.  Both sides are tested through the
-membership reader of ``families``, against the table entries of the whole
-sets, not against hand-written conditions, so a map body only builds its
-image.  xi and its inverse check their own arguments, and their kernel
-checks its own postconditions.  Every check is an explicit raise, not an
-``assert``, so it still runs under ``python -O``.
+declared once, by ``@_map(domain, codomain)``: the families and pair sets
+its inputs and its images lie in.  Whether it requires the residue t or
+refuses one is read off its domain by the families' own rule: a direction
+takes t when a domain set is indexed by t (``Ostar``, ``Fbar`` and
+``Prt``, so psi1 and psi2), and refuses it otherwise.  One checker reads
+the declaration.  It checks r and t on entry, raises ``BijectionError``
+unless the input lies in a domain set, and raises ``ConstructionError``
+unless the image lies in a codomain set and has the input's size.  Both
+sides are tested through the membership reader of ``families``, against
+the table entries of the whole sets, not against hand-written conditions,
+so a map body only builds its image.  xi and its inverse check their own
+arguments, and their kernel checks its own postconditions.  Every check is
+an explicit raise, not an ``assert``, so it still runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from functools import wraps
 from operator import lt, sub
 
-from .families import Family, PairSet, _gap, _membership
+from .families import Family, PairSet, _NEEDS_T, _gap, _membership
 from .partitions import (
     Composition,
     DecoratedPartition,
@@ -338,16 +339,18 @@ def _shown(x):
     return str(x) if isinstance(x, RectanglePair) else f"({x})"
 
 
-def _map(domain, codomain, takes_t=False):
+def _map(domain, codomain):
     """Declare a companion direction from r, t and x in ``domain`` to ``codomain``.
 
-    The declared function checks r, and t against ``takes_t``; turns a plain
-    sequence into a ``Partition``; raises ``BijectionError`` unless x lies
-    in one of the domain sets; runs the body; and raises
-    ``ConstructionError`` unless the image lies in one of the codomain sets
-    and has the size of x.  The declaration stays readable as the
-    attributes ``domain``, ``codomain`` and ``takes_t``.
+    The declared function checks r, and t against ``takes_t``, true when a
+    domain set is indexed by t; turns a plain sequence into a
+    ``Partition``; raises ``BijectionError`` unless x lies in one of the
+    domain sets; runs the body; and raises ``ConstructionError`` unless the
+    image lies in one of the codomain sets and has the size of x.  The
+    declaration stays readable as the attributes ``domain``, ``codomain``
+    and ``takes_t``.
     """
+    takes_t = any(s in _NEEDS_T for s in domain)
     inside = tuple(map(_membership, domain))
     onto = tuple(map(_membership, codomain))
 
@@ -404,7 +407,7 @@ def phi_inverse(mu, r, t=None):
 # psi1: overlined-flat and one-steep partitions  <->  (flat, rectangle) pairs.
 # ---------------------------------------------------------------------------
 
-@_map((Family.F_BAR, Family.F_1R), (PairSet.P_RT,), takes_t=True)
+@_map((Family.F_BAR, Family.F_1R), (PairSet.P_RT,))
 def psi1_forward(nu, r, t=None):
     """Strip a rectangle of residue-t parts off the decorated/steep position.
 
@@ -425,7 +428,7 @@ def psi1_forward(nu, r, t=None):
     return RectanglePair(flat, a * r + t, i)
 
 
-@_map((PairSet.P_RT,), (Family.F_BAR, Family.F_1R), takes_t=True)
+@_map((PairSet.P_RT,), (Family.F_BAR, Family.F_1R))
 def psi1_inverse(pair, r, t=None):
     """Re-attach the rectangle; overline the landing position when no steep gap appears."""
     i = pair.count
@@ -439,7 +442,7 @@ def psi1_inverse(pair, r, t=None):
 # psi2: marked r-regular partitions  <->  (flat, rectangle) pairs.
 # ---------------------------------------------------------------------------
 
-@_map((Family.O_STAR,), (PairSet.P_RT,), takes_t=True)
+@_map((Family.O_STAR,), (PairSet.P_RT,))
 def psi2_forward(lam, r, t=None):
     """Remove the marked value down to the mark's rank, then invert xi."""
     base, value, position = lam.base, lam.value, lam.position
@@ -448,7 +451,7 @@ def psi2_forward(lam, r, t=None):
     return RectanglePair(xi_inverse(remainder, r), value, position - first)
 
 
-@_map((PairSet.P_RT,), (Family.O_STAR,), takes_t=True)
+@_map((PairSet.P_RT,), (Family.O_STAR,))
 def psi2_inverse(pair, r, t=None):
     """Push the flat component through xi, merge the rectangle, mark its last copy."""
     nu = xi_forward(pair.flat, r).output.union(pair.rectangle())

@@ -226,10 +226,15 @@ def _blocks(stream):
         yield block
 
 
-def _cmd_enumerate(args, out):
+def _tag(args):
+    # the one family or pair set that enumerate or count names
     if (args.family is None) == (args.pairset is None):
-        raise ValueError("enumerate needs exactly one of --family / --pairset")
-    stream = families.enumerate_family(args.n, args.family or args.pairset, args.r, args.t)
+        raise ValueError(f"{args.command} needs exactly one of --family / --pairset")
+    return args.family or args.pairset
+
+
+def _cmd_enumerate(args, out):
+    stream = families.enumerate_family(args.n, _tag(args), args.r, args.t)
     if args.format == "json":
         # the bytes of json.dumps of the whole list, written a block at a
         # time; the first block is read before "[" is written, so a request
@@ -252,13 +257,11 @@ def _check_n_max(args):
 
 
 def _cmd_count(args, out):
-    if (args.family is None) == (args.pairset is None):
-        raise ValueError("count needs exactly one of --family / --pairset")
+    tag = _tag(args)
     if (args.n is None) == (args.n_max is None):
         raise ValueError("count needs exactly one of --n / --n-max")
     _check_n_max(args)
 
-    tag = args.family or args.pairset
     rows = ([(args.n, families.count(args.n, tag, args.r, args.t))] if args.n_max is None
             else list(enumerate(families.counts(args.n_max, tag, args.r, args.t))))
     if args.format == "json":
@@ -287,13 +290,15 @@ def _decorated_input(args):
 
 
 def _cmd_bijection(args, out):
-    forward, inverse = _BIJECTIONS[args.map]
-    needs_t = getattr(forward, "takes_t", False)  # declared by each companion map; xi takes none
-    pair = args.map == "zeta" or args.rect_count is not None
+    chosen = _BIJECTIONS[args.map][args.inverse]  # the inverse when --inverse is given
+    # t and the kind of input come from the direction's declaration; xi has none
+    needs_t = getattr(chosen, "takes_t", False)
+    pair = any(isinstance(s, PairSet) for s in getattr(chosen, "domain", ()))
     for flag, unused, reason in (
             ("--trace", args.trace and (args.map != "xi" or args.inverse),
              "only the forward xi map has a trace"),
             ("--t", args.t is not None and not needs_t, f"map {args.map!r} takes no residue"),
+            ("--rect-count", args.rect_count is not None and not pair, "the input is not a pair"),
             ("--rect-part", args.rect_part is not None and args.rect_count is None,
              "it needs --rect-count"),
             ("--mark-position", pair and args.mark_position is not None, "the input is a pair"),
@@ -312,7 +317,7 @@ def _cmd_bijection(args, out):
 
     if needs_t and args.t is None:
         raise ValueError(f"map {args.map!r} requires --t")
-    result = (inverse if args.inverse else forward)(obj, args.r, args.t)
+    result = chosen(obj, args.r, args.t)
 
     if isinstance(result, bijections.XiTrace):
         if args.trace:

@@ -304,27 +304,17 @@ def _cap(columns):
     return len(columns) // 2
 
 
-# a flat family -> its conjugate: conjugation takes the gap at p of an
-# r-flat partition to the multiplicity of p, so the gaps of at least t over
-# the one are the values repeated at least t times over the other
-_CONJUGATE = {Family.F_R: Family.D_R, Family.F_1R: Family.D_1R}
-
-
-def _stat(lo, hi, family, r, stat, t=None):
+def _stat(lo, hi, family, stat, r, t=None):
     # One totals statistic of the plain family at n = lo..hi, as a list: the
-    # count, parts or distinct values, or at residue t the parts congruent
-    # to t, the values repeated at least t times or, over a flat family,
-    # the gaps (final part included) at least t, read as the repeats of its
-    # conjugate.  Parts sum the residue slots and distinct values the run
-    # slots; slots past cap = min(r, size + 1) are not kept and read 0, as
-    # does t = 0 for repeats and gaps.
-    if stat == "steep":
-        family, stat = _CONJUGATE[family], "repeats"
+    # parts or distinct values, or at residue t the parts congruent to t or
+    # the values repeated at least t times.  Parts sum the residue slots and
+    # distinct values the run slots; slots past cap = min(r, size + 1) are
+    # not kept and read 0, as does t = 0 for repeats.
     columns = _table(hi, *_SPEC[family], r, True)
     cap = _cap(columns)
     residues, runs = columns[1:cap + 1], columns[cap + 1:]  # runs of c at cap + c
     # every entry is sliced, and t is None for the statistics that take none
-    picked = {"count": columns[:1], "parts": residues, "distinct": runs,
+    picked = {"parts": residues, "distinct": runs,
               "residue": residues[t:][:1], "repeats": runs[t - 1:] if t else []}[stat]
     return list(map(sum, zip(*(c[lo:hi + 1] for c in picked)))) or [0] * (hi - lo + 1)
 
@@ -467,13 +457,18 @@ def _last_occurrence(lam, r, t, i):
     return i == len(lam) or lam[i] != lam[i - 1]
 
 
-# family -> (base, decoration, whether position i may carry it, the base's
-# totals statistic that counts the positions, read at t by _stat)
+# family -> (base, decoration, whether position i may carry it, the
+# (family, totals statistic) that counts the positions, read at t by _stat).
+# Fbar's gaps of at least t are read by conjugation, which takes the gap at
+# p of an r-flat partition to the multiplicity of p: the gaps of at least t
+# over Fr are the values repeated at least t times over Dr.
 _DECORATED = {
-    Family.O_STAR: (Family.O_R, MARK, lambda lam, r, t, i: lam[i - 1] % r == t, "residue"),
-    Family.F_BAR: (Family.F_R, OVERLINE, lambda lam, r, t, i: _gap(lam, i) >= t, "steep"),
-    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrence, "distinct"),
-    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrence, "distinct"),
+    Family.O_STAR: (Family.O_R, MARK, lambda lam, r, t, i: lam[i - 1] % r == t,
+                    (Family.O_R, "residue")),
+    Family.F_BAR: (Family.F_R, OVERLINE, lambda lam, r, t, i: _gap(lam, i) >= t,
+                   (Family.D_R, "repeats")),
+    Family.O_BAR: (Family.O_R, OVERLINE, _last_occurrence, (Family.O_R, "distinct")),
+    Family.D_BAR: (Family.D_R, OVERLINE, _last_occurrence, (Family.D_R, "distinct")),
 }
 
 # pair set -> (whether the rectangle (s^i) has parts s of residue t rather
@@ -604,8 +599,7 @@ def _column(lo, hi, tag, r, t):
     if tag in _SPEC:
         return _read(lo, hi, *_SPEC[tag], r)
     if tag in _DECORATED:
-        base, _, _, stat = _DECORATED[tag]
-        return _stat(lo, hi, base, r, stat, t)
+        return _stat(lo, hi, *_DECORATED[tag][3], r, t)
     return _pair_counts(lo, hi, tag, r, t)
 
 

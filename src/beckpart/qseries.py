@@ -144,16 +144,6 @@ def _pentagonal(bound):
     return odd, even
 
 
-def eta_quotient(r, bound):
-    """The product over n >= 1 of (1 - q^(r*n)) / (1 - q^n), truncated.
-
-    Its coefficients count the r-regular (equivalently multiplicity-bounded,
-    equivalently r-flat) partitions of each size.  It is ``gf("O_r", r)``:
-    the case L = 1 of the one solver behind every named series (see ``gf``).
-    """
-    return gf("O_r", r, bound=bound)
-
-
 def _rk(k, r, t):
     return r * k
 
@@ -219,7 +209,8 @@ GF_NAMES = tuple(_GF)
 def gf(name, r, t=None, bound=0):
     """Named generating functions: the eta quotient, times a Lambert sum but for ``O_r``.
 
-    * ``O_r``             : counts of r-regular partitions;
+    * ``O_r``             : counts of r-regular partitions, the eta quotient
+                            (q^r;q^r)_inf / (q;q)_inf itself;
     * ``O_1r``            : counts of one-divisible-value partitions
                             (equal to the one-repeated-value counts);
     * ``parts_t_in_Or``   : total residue-t parts over the r-regular family;

@@ -46,13 +46,15 @@ def stat_report(lam, r, t):
 
 
 # aggregate -> the family statistic it sums, and the one it subtracts or
-# None, each (family, statistic); one that reads residue, repeats or steep
-# reads them at its residue t and takes t
+# None, each (family, statistic); one that reads residue or repeats reads
+# them at its residue t and takes t.  The flat excess subtracts the gaps of
+# at least t over Fr, which are the values repeated at least t times over
+# Dr (see excess_Ert_flat).
 _AGGREGATES = {
     "total_residue_parts": ((Family.O_R, "residue"), None),
     "total_repeated_values": ((Family.D_R, "repeats"), None),
     "excess_Ert": ((Family.O_R, "residue"), (Family.D_R, "repeats")),
-    "excess_Ert_flat": ((Family.F_R, "residue"), (Family.F_R, "steep")),
+    "excess_Ert_flat": ((Family.F_R, "residue"), (Family.D_R, "repeats")),
     "beck_b": ((Family.O_R, "parts"), (Family.D_R, "parts")),
     "beck_b_prime": ((Family.D_R, "distinct"), (Family.O_R, "distinct")),
 }
@@ -63,9 +65,9 @@ def _aggregate(name, lo, hi, r, t):
     plus, minus = _AGGREGATES[name]
     _check_takes_t(name, r, t, plus[1] in ("residue", "repeats"))
     _validate(hi, plus[0], r, None)
-    column = _stat(lo, hi, plus[0], r, plus[1], t)
+    column = _stat(lo, hi, *plus, r, t)
     if minus is not None:
-        column = list(map(sub, column, _stat(lo, hi, minus[0], r, minus[1], t)))
+        column = list(map(sub, column, _stat(lo, hi, *minus, r, t)))
     return column
 
 

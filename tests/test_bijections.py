@@ -346,7 +346,7 @@ _FAULTY_BODIES = """
         for fault, image in faults.items():
             body = lambda x, r, t, image=image: image
             body.__name__ = name
-            faulty = bijections._map(f.domain, f.codomain, f.takes_t)(body)
+            faulty = bijections._map(f.domain, f.codomain)(body)
             try:
                 faulty(x, *args)
                 print(name, fault, "returned")
@@ -586,6 +586,12 @@ def test_each_direction_is_declared_with_its_sets_and_residue_rule():
     for f, domain, codomain in DIRECTIONS:
         takes_t = f.__name__.startswith(("psi1", "psi2"))
         assert (f.domain, f.codomain, f.takes_t) == (domain, codomain, takes_t), f.__name__
+    # takes_t is read off the domain: of every direction the module declares,
+    # exactly the four psi1 and psi2 directions take t
+    declared = {f for f in vars(beckpart.bijections).values() if hasattr(f, "takes_t")}
+    assert declared == {f for f, _, _ in DIRECTIONS}
+    assert {f.__name__ for f in declared if f.takes_t} == {
+        "psi1_forward", "psi1_inverse", "psi2_forward", "psi2_inverse"}
 
 
 def candidates(n):

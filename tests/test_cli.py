@@ -109,6 +109,9 @@ class TestBijectionCommand:
          "error: xi_inverse needs an r-regular partition at r = 2, got (4,1)\n"),
         ("bijection --map xi --inverse --r 8 --partition 16,3",
          "error: xi_inverse needs an r-regular partition at r = 8, got (16,3)\n"),
+        # a direction whose domain is a pair set asks for the pair
+        ("bijection --map psi-o --inverse --r 3 --partition 2,1",
+         "error: map 'psi-o' takes a pair: add --rect-count (and --rect-part)\n"),
     ])
     def test_input_outside_the_domain_is_named(self, capsys, argv, err):
         assert run(capsys, *argv.split()) == (2, "", err)
@@ -126,6 +129,7 @@ class TestBijectionCommand:
                                 " --overline-position 1"),
         ("--rect-part", "bijection --map psi-o --r 5 --partition 32,24,23,16,16,12"
                         " --overline-position 5 --rect-part 2"),
+        ("--rect-count", "bijection --map psi-o --r 3 --partition 2,1 --rect-count 2"),
         ("--t", "diagram --r 4 --partition 10,7 --t 1"),
         ("--n-max", "verify series --r 3 --n-max 5 --degree 7"),
     ]
@@ -670,8 +674,8 @@ class TestSizeLimits:
             assert (code, out) == (2, "") and err.startswith("error:") and why in err, err
 
     def test_pair_count_under_the_walk_limit_answers(self, capsys):
-        # the listing walk and its limit are gone: every pair count under
-        # COUNT_LIMIT comes from the flat count table, and |A| = |B| (zeta)
+        # the listing walk and its limit are gone: every pair count comes
+        # from the flat count table, and |A| = |B| (zeta)
         assert run(capsys, "count", "--pairset", "A", "--r", "2", "--n", "60")[:2] == \
             (0, "26939\n")
         families.clear_caches()

@@ -495,7 +495,7 @@ class TestTables:
         stat = families._stat
         monkeypatch.setattr(families, "_stat", lambda *args: calls.append(args) or stat(*args))
         got = totals(30, Family.O_R, 20000)
-        assert len(calls) == 3 + 2 * 31  # before count reads _stat once more
+        assert len(calls) == 2 + 2 * 31  # before count reads _stat once more
         assert len(got.residue) == len(got.repeats) == 20000
         assert got.residue[31:] == got.repeats[31:] == (0,) * (20000 - 31)
         assert got.residue[1] == count(30, Family.O_STAR, 20000, 1)

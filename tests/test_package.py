@@ -33,7 +33,7 @@ def test_exported_names():
         "BijectionError", "Composition", "ConstructionError", "DecoratedPartition", "Family",
         "MARK", "OVERLINE", "PairSet", "Partition", "RectanglePair", "StatReport",
         "TruncatedSeries", "XiTrace", "beck_b", "beck_b_prime", "bijections", "clear_caches",
-        "count", "enumerate_family", "eta_quotient", "excess_Ert", "excess_Ert_flat",
+        "count", "enumerate_family", "excess_Ert", "excess_Ert_flat",
         "families", "gf", "is_member", "lambert_sum", "modular_diagram",
         "modular_diagram_rows", "parse_partition", "partitions", "phi_forward", "phi_inverse",
         "psi1_forward", "psi1_inverse", "psi2_forward", "psi2_inverse", "psi_d_forward",

@@ -8,7 +8,6 @@ from beckpart import (
     Family,
     TruncatedSeries,
     count,
-    eta_quotient,
     excess_Ert,
     gf,
     lambert_sum,
@@ -148,19 +147,19 @@ class TestRing:
 
 class TestEtaQuotient:
     def test_constant_term(self):
-        assert eta_quotient(3, 10)[0] == 1
+        assert gf("O_r", 3, bound=10)[0] == 1
 
     def test_counts_regular_partitions(self):
-        assert eta_quotient(2, 5)[5] == 3
+        assert gf("O_r", 2, bound=5)[5] == 3
         for r in (2, 3, 5):
-            series = eta_quotient(r, 20)
+            series = gf("O_r", r, bound=20)
             for n in range(0, 21):
                 assert series[n] == count(n, Family.O_R, r)
 
     @pytest.mark.parametrize("r", range(2, 8))
     def test_matches_product_oracle(self, r):
         for bound in (0, 1, 2, 5, 7, 12, 51, 400):
-            assert eta_quotient(r, bound).coeffs == eta_quotient_oracle(r, bound)
+            assert gf("O_r", r, bound=bound).coeffs == eta_quotient_oracle(r, bound)
 
 
 class TestLambert:
@@ -248,7 +247,7 @@ class TestNamedSeries:
 
     @pytest.mark.parametrize("r", range(2, 8))
     def test_every_name_matches_the_kronecker_product_at_1500(self, r):
-        eta = eta_quotient(r, 1500)
+        eta = gf("O_r", r, bound=1500)
         for name in GF_NAMES:
             family = GF_LAMBERT[name]
             for t in (range(1, r) if name in ("parts_t_in_Or", "repeats_t_in_Dr") else (None,)):
@@ -274,7 +273,7 @@ class TestNamedSeries:
 class TestDegrees:
     @pytest.mark.parametrize("degree", [True, False, 1.0, "1", None, -1, 4])
     def test_coefficient_rejects_bad_degree(self, degree):
-        series = eta_quotient(2, 3)
+        series = gf("O_r", 2, bound=3)
         with pytest.raises(ValueError):
             series.coefficient(degree)
         with pytest.raises(ValueError):
@@ -282,10 +281,10 @@ class TestDegrees:
 
     def test_valid_degrees(self):
         assert TruncatedSeries(3, (0, 5)).coeffs == (0, 5, 0, 0)
-        assert eta_quotient(2, 3)[3] == 2
+        assert gf("O_r", 2, bound=3)[3] == 2
 
 
 class TestDump:
     def test_tab_separated_lines(self):
-        dump = eta_quotient(2, 3).dump()
+        dump = gf("O_r", 2, bound=3).dump()
         assert dump == "0\t1\n1\t1\n2\t1\n3\t2"

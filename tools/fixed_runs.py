@@ -42,6 +42,8 @@ FIXED_RUNS = (
     "count --family Ostar --r 7 --t 1 --n 2048",
     "enumerate --family all --r 2 --n 55",
     "enumerate --family Ostar --r 3 --t 1 --n 52",
+    "enumerate --family Tr --r 2 --n 80",
+    "enumerate --family D1r --r 2 --n 70",
     "count --family Or --r 3 --n 8192",
     "verify glaisher --r 3 --n-max 8192",
     "count --family F1r --r 2 --n 8653",

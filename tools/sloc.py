@@ -6,13 +6,16 @@ function body) are not counted.  Only the standard library is used.
 
     python tools/sloc.py src/beckpart/bijections.py src/beckpart/cli.py
 
-prints one count per file, then the total.
+prints one count per file, then the total.  A directory stands for its own
+``*.py`` files in sorted order, so ``python tools/sloc.py src/beckpart``
+counts the package.
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -40,9 +43,18 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def files(paths):
+    """The paths with each directory replaced by its ``*.py`` files, sorted."""
+    for path in paths:
+        if Path(path).is_dir():
+            yield from map(str, sorted(Path(path).glob("*.py")))
+        else:
+            yield path
+
+
 def main(paths):
     total = 0
-    for path in paths:
+    for path in files(paths):
         with open(path, "rb") as f:
             count = code_lines(f.read())
         print(f"{count:6d}  {path}")
