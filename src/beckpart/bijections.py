@@ -14,20 +14,24 @@ rectangles:
 * ``psi_t``  : one value repeated in (r, 2r)  ->  (flat, (1^i)) pairs
 * ``zeta``   : trades a gap of r-1 at position j against an r-fold taller rectangle
 
-Every map takes ``(x, r, t=None)``.  Each direction of a companion map is
-declared once, by ``@_map(domain, codomain)``: the families and pair sets
-its inputs and its images lie in.  Whether it requires the residue t or
-refuses one is read off its domain by the families' own rule: a direction
-takes t when a domain set is indexed by t (``Ostar``, ``Fbar`` and
-``Prt``, so psi1 and psi2), and refuses it otherwise.  One checker reads
-the declaration.  It checks r and t on entry, raises ``BijectionError``
-unless the input lies in a domain set, and raises ``ConstructionError``
-unless the image lies in a codomain set and has the input's size.  Both
-sides are tested through the membership reader of ``families``, against
-the table entries of the whole sets, not against hand-written conditions,
-so a map body only builds its image.  xi and its inverse check their own
-arguments, and their kernel checks its own postconditions.  Every check is
-an explicit raise, not an ``assert``, so it still runs under ``python -O``.
+Every map takes ``(x, r, t=None)``, and each of its directions is declared
+once, by ``_declared(domain, codomain)``: the families and pair sets its
+inputs and its images lie in (xi: ``Fr`` to ``Or``).  Whether it requires
+the residue t or refuses one is read off its domain by the families' own
+rule: a direction takes t when a domain set is indexed by t (``Ostar``,
+``Fbar`` and ``Prt``, so psi1 and psi2), and refuses it otherwise.  A
+companion direction is declared through ``@_map(domain, codomain)``,
+whose one checker reads the declaration.  It checks r and t on entry,
+raises ``BijectionError`` unless the input lies in a domain set, and
+raises ``ConstructionError`` unless the image lies in a codomain set and
+has the input's size.  Both sides are tested through the membership reader
+of ``families``, against the table entries of the whole sets, not against
+hand-written conditions, so a map body only builds its image.  xi and its
+inverse check their own arguments, and their kernel checks its own
+postconditions.  A companion takes xi's image from ``_xi``, the kernel's
+one private entry, so its input is checked once, by its own checker, and
+no trace is built.  Every check is an explicit raise, not an ``assert``,
+so it still runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ class BijectionError(ValueError):
 
 class ConstructionError(RuntimeError):
     """An internal invariant failed while building an image."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 _TRACE_FIELDS = ("input", "nu", "mu", "alpha", "beta", "u", "v",
@@ -181,7 +181,7 @@ def _xi_kernel(lam, r):
     """One run of xi on the r-flat partition lam, as the list of XiTrace field values.
 
     Every field but ``input`` is a plain list.  A failed postcondition raises
-    ConstructionError carrying the lists computed so far.
+    ConstructionError.
     """
     mu, nu = _locked_split(lam, r)
     # One pass splits mu into alpha and beta.  Both descend and never share a
@@ -203,19 +203,16 @@ def _xi_kernel(lam, r):
     u = [nb - k for k in before]
     alpha_star = [a - r * k for a, k in zip(alpha, u)]
     beta_star = [b + r * k for b, k in zip(beta, v)]
-    values = [lam, nu, mu, alpha, beta, u, v, alpha_star, beta_star]
 
     if any(map(lt, u, u[1:])):
-        raise ConstructionError(f"u is not non-increasing: {u}", _unfinished(values))
+        raise ConstructionError(f"u is not non-increasing: {u}")
     if alpha_star and (alpha_star[-1] < 1 or any(map(lt, alpha_star, alpha_star[1:]))):
-        raise ConstructionError(
-            f"alpha - r*u is not a partition: {alpha_star}", _unfinished(values))
+        raise ConstructionError(f"alpha - r*u is not a partition: {alpha_star}")
 
     sigma = sorted([x // r for x in nu + beta_star], reverse=True)
     if sigma and sigma[0] > len(alpha_star):
         raise ConstructionError(
-            f"sigma_1 = {sigma[0]} exceeds the {len(alpha_star)} parts available",
-            _unfinished(values))
+            f"sigma_1 = {sigma[0]} exceeds the {len(alpha_star)} parts available")
 
     heights = _conjugate(sigma)
     output = [a + r * h for a, h in zip(alpha_star, heights)] + alpha_star[len(heights):]
@@ -223,23 +220,37 @@ def _xi_kernel(lam, r):
     residues = [p % r for p in output]
     if sum(output) != sum(lam):
         raise ConstructionError(
-            f"image ({Partition._make(output)}) has size {sum(output)}, not {sum(lam)}",
-            _unfinished(values))
+            f"image ({Partition._make(output)}) has size {sum(output)}, not {sum(lam)}")
     if 0 in residues:
-        raise ConstructionError(
-            f"image ({Partition._make(output)}) is not {r}-regular", _unfinished(values))
+        raise ConstructionError(f"image ({Partition._make(output)}) is not {r}-regular")
     if sorted(residues) != sorted([p % r for p in lam if p % r]):
         raise ConstructionError(
-            f"image ({Partition._make(output)}) changes the residue profile mod {r}",
-            _unfinished(values))
-    return values + [sigma, output]
+            f"image ({Partition._make(output)}) changes the residue profile mod {r}")
+    return [lam, nu, mu, alpha, beta, u, v, alpha_star, beta_star, sigma, output]
 
 
-def _unfinished(values):
-    # the trace of a failed xi run, as the lists computed before the failure
-    return {name: list(value) for name, value in zip(_TRACE_FIELDS, values)}
+def _xi(lam, r):
+    """xi's image of lam, which the caller's domain check has shown r-flat.
+
+    The companion maps' one entry to the forward xi: no checks of r, t or
+    flatness, no trace, and the kernel's own postconditions still run.
+    """
+    return Partition._make(_xi_kernel(lam, r)[-1])
 
 
+def _declared(domain, codomain):
+    """Record a direction's declaration on its function: the attributes
+    ``domain`` and ``codomain``, the families and pair sets its inputs and its
+    images lie in, and ``takes_t``, true when a domain set is indexed by t."""
+
+    def record(f):
+        f.domain, f.codomain, f.takes_t = domain, codomain, any(s in _NEEDS_T for s in domain)
+        return f
+
+    return record
+
+
+@_declared((Family.F_R,), (Family.O_R,))
 def xi_forward(lam, r, t=None):
     """Map an r-flat partition to an r-regular one of the same size.
 
@@ -269,6 +280,7 @@ def _descend_profile(kappa, s, r):
     return m, [p // r - mi for p, mi in zip(kappa, m)]
 
 
+@_declared((Family.O_R,), (Family.F_R,))
 def xi_inverse(kappa, r, t=None):
     """The unique r-flat preimage of an r-regular partition under xi_forward.
 
@@ -342,25 +354,24 @@ def _shown(x):
 def _map(domain, codomain):
     """Declare a companion direction from r, t and x in ``domain`` to ``codomain``.
 
-    The declared function checks r, and t against ``takes_t``, true when a
-    domain set is indexed by t; turns a plain sequence into a
-    ``Partition``; raises ``BijectionError`` unless x lies in one of the
-    domain sets; runs the body; and raises ``ConstructionError`` unless the
-    image lies in one of the codomain sets and has the size of x.  The
-    declaration stays readable as the attributes ``domain``, ``codomain``
-    and ``takes_t``.
+    The declared function checks r, and t against its ``takes_t``; turns a
+    plain sequence into a ``Partition``; raises ``BijectionError`` unless x
+    lies in one of the domain sets; runs the body; and raises
+    ``ConstructionError`` unless the image lies in one of the codomain sets
+    and has the size of x.  The declaration is recorded by ``_declared``,
+    as for xi.
     """
-    takes_t = any(s in _NEEDS_T for s in domain)
     inside = tuple(map(_membership, domain))
     onto = tuple(map(_membership, codomain))
 
     def declare(body):
         name = body.__name__
 
+        @_declared(domain, codomain)
         @wraps(body)
         def checked(x, r, t=None):
             _check_modulus(r)
-            _check_takes_t(name, r, t, takes_t)
+            _check_takes_t(name, r, t, checked.takes_t)
             if not isinstance(x, (Partition, DecoratedPartition, RectanglePair)):
                 x = Partition(x)
             if not any(test(x, r, t) for test in inside):
@@ -372,7 +383,6 @@ def _map(domain, codomain):
                                         f"with size {x.size}: {_shown(image)}")
             return image
 
-        checked.domain, checked.codomain, checked.takes_t = domain, codomain, takes_t
         return checked
 
     return declare
@@ -392,7 +402,7 @@ def phi_forward(lam, r, t=None):
     """Flatten the unique steep gap into a rectangle, map through xi, re-insert."""
     i = _steep_position(lam, r)
     steep = rectangle(_gap(lam, i) // r * r, i)
-    return xi_forward(lam - steep, r).output.union(steep)
+    return _xi(lam - steep, r).union(steep)
 
 
 @_map((Family.O_1R,), (Family.F_1R,))
@@ -454,7 +464,7 @@ def psi2_forward(lam, r, t=None):
 @_map((PairSet.P_RT,), (Family.O_STAR,))
 def psi2_inverse(pair, r, t=None):
     """Push the flat component through xi, merge the rectangle, mark its last copy."""
-    nu = xi_forward(pair.flat, r).output.union(pair.rectangle())
+    nu = _xi(pair.flat, r).union(pair.rectangle())
     return DecoratedPartition(nu, MARK, nu.index(pair.part) + pair.count)  # the count-th copy
 
 
@@ -479,7 +489,7 @@ def psi_o_forward(lam, r, t=None):
 
 @_map((PairSet.A_O,), (Family.O_BAR,))
 def psi_o_inverse(pair, r, t=None):
-    return _overline_last(xi_forward(pair.flat, r).output.union((pair.count,)), pair.count)
+    return _overline_last(_xi(pair.flat, r).union((pair.count,)), pair.count)
 
 
 @_map((Family.D_BAR,), (PairSet.A_D,))

@@ -46,6 +46,10 @@ _BIJECTIONS = {
 MAPS = tuple(_BIJECTIONS)
 
 _DEFAULT_N_MAX = 30  # verify's --n-max when neither it nor --degree is given
+# The most columns one verify report reads, and the most values: its columns
+# times n_max + 1.  A column costs about 9 us and 300 bytes past its values.
+COLUMN_LIMIT = 200_000
+VALUE_LIMIT = 4_000_000
 
 
 @dataclass
@@ -55,7 +59,7 @@ class VerificationReport:
     identity: str
     r: int
     n_max: int
-    t_values: tuple
+    t_values: tuple | range
     # lists of (t, lhs, rhs), lhs and rhs a check's columns at n = 0..n_max;
     # the points run block by block, and within a block for n, for each entry
     blocks: list = field(default_factory=list)
@@ -124,7 +128,8 @@ def _status(lhs, rhs):
 # A side is a column: a function of (n_max, r, t) giving its values at
 # n = 0..n_max, which looks up its module function when called, so a patched
 # module attribute is seen; a tuple (op, a, b) is op of sides a and b, value
-# by value.  t is None in a check that does not run per t.
+# by value; a tuple (sum, a) is the sum of side a over t = 1..r-1, value by
+# value.  t is None in a check that does not run per t.
 def _count(family):
     return lambda n_max, r, t: families.counts(n_max, family, r)
 
@@ -153,8 +158,7 @@ _IDENTITIES = {
               (False, _count(Family.O_1R), _count(Family.D_1R))),
     "beck1": ("count", (False, _stats("beck_b"), lambda n_max, r, t: [
                   (r - 1) * c for c in families.counts(n_max, Family.O_1R, r)]),
-              (False, _stats("beck_b"), lambda n_max, r, t: list(map(sum, zip(*(
-                  stats.column("excess_Ert", n_max, r, u) for u in range(1, r))))))),
+              (False, _stats("beck_b"), (sum, _stats("excess_Ert")))),
     "beck2": ("count", (False, _stats("beck_b_prime"), _count(Family.T_R)),),
     "glaisher": ("count", (False, _count(Family.O_R), _count(Family.D_R)),
                  (False, _count(Family.D_R), _count(Family.F_R))),
@@ -168,18 +172,39 @@ _IDENTITIES = {
 }
 
 
+def _columns(side, r):
+    # the columns a side reads at one t
+    if callable(side):
+        return 1
+    if side[0] is sum:
+        return (r - 1) * _columns(side[1], r)
+    return _columns(side[1], r) + _columns(side[2], r)
+
+
 def _check(report):
-    # each side's column at each t, worked out once per report
+    # each side's column at each t, worked out once per report, after the
+    # report's size is checked against the limits
     route, *checks = _IDENTITIES[report.identity]
+    r, n_max = report.r, report.n_max
+    columns = sum((len(report.t_values) if per_t else 1) * (_columns(lhs, r) + _columns(rhs, r))
+                  for per_t, lhs, rhs in checks)
+    if columns > COLUMN_LIMIT or columns * (n_max + 1) > VALUE_LIMIT:
+        raise ValueError(f"verify {report.identity} at n <= {n_max} is too large at r = {r}: "
+                         f"{columns} columns and {columns * (n_max + 1)} values, "
+                         f"past {COLUMN_LIMIT} columns or {VALUE_LIMIT} values")
     memo = {}
 
     def column(side, t):
         if (side, t) not in memo:
-            values = (side(report.n_max, report.r, t) if callable(side) else
-                      list(map(side[0], column(side[1], t), column(side[2], t))))
-            if len(values) != report.n_max + 1:  # a short column would pass unchecked
+            if callable(side):
+                values = side(n_max, r, t)
+            elif side[0] is sum:
+                values = list(map(sum, zip(*(column(side[1], u) for u in range(1, r)))))
+            else:
+                values = list(map(side[0], column(side[1], t), column(side[2], t)))
+            if len(values) != n_max + 1:  # a short column would pass unchecked
                 raise ValueError(f"a side of verify {report.identity} gave {len(values)} "
-                                 f"values for n = 0..{report.n_max}")
+                                 f"values for n = 0..{n_max}")
             memo[side, t] = values
         return memo[side, t]
 
@@ -291,31 +316,31 @@ def _decorated_input(args):
 
 def _cmd_bijection(args, out):
     chosen = _BIJECTIONS[args.map][args.inverse]  # the inverse when --inverse is given
-    # t and the kind of input come from the direction's declaration; xi has none
-    needs_t = getattr(chosen, "takes_t", False)
-    pair = any(isinstance(s, PairSet) for s in getattr(chosen, "domain", ()))
+    # t and the kind of input come from the direction's declaration
+    pair = any(isinstance(s, PairSet) for s in chosen.domain)
+    direction = f"map {args.map!r} " + ("--inverse" if args.inverse else "(forward)")
+    takes = f"{direction} takes {'a' if pair else 'no'} pair"
     for flag, unused, reason in (
             ("--trace", args.trace and (args.map != "xi" or args.inverse),
              "only the forward xi map has a trace"),
-            ("--t", args.t is not None and not needs_t, f"map {args.map!r} takes no residue"),
-            ("--rect-count", args.rect_count is not None and not pair, "the input is not a pair"),
-            ("--rect-part", args.rect_part is not None and args.rect_count is None,
-             "it needs --rect-count"),
-            ("--mark-position", pair and args.mark_position is not None, "the input is a pair"),
-            ("--overline-position", pair and args.overline_position is not None,
-             "the input is a pair")):
+            ("--t", args.t is not None and not chosen.takes_t,
+             f"map {args.map!r} takes no residue"),
+            ("--rect-count", args.rect_count is not None and not pair, takes),
+            ("--rect-part", args.rect_part is not None and not pair, takes),
+            ("--mark-position", pair and args.mark_position is not None, takes),
+            ("--overline-position", pair and args.overline_position is not None, takes)):
         if unused:
             raise ValueError(f"{flag} is not used: {reason}")
     if pair:
         if args.rect_count is None:
-            raise ValueError(f"map {args.map!r} takes a pair: add --rect-count (and --rect-part)")
+            raise ValueError(f"{takes}: add --rect-count (and --rect-part)")
         rect_part = 1 if args.rect_part is None else args.rect_part
         obj = RectanglePair(parse_partition(args.partition), rect_part, args.rect_count)
         _check_size(obj.size, "pair")
     else:
         obj = _decorated_input(args)
 
-    if needs_t and args.t is None:
+    if chosen.takes_t and args.t is None:
         raise ValueError(f"map {args.map!r} requires --t")
     result = chosen(obj, args.r, args.t)
 
@@ -352,7 +377,7 @@ def _cmd_verify(args, out):
         raise ValueError(f"verify {args.identity} does not take --degree")
     if args.degree is not None and args.n_max is not None:
         raise ValueError("--n-max is not used: --degree sets the bound of verify series")
-    t_values = (args.t,) if args.t is not None else tuple(range(1, args.r)) if takes_t else ()
+    t_values = (args.t,) if args.t is not None else range(1, args.r) if takes_t else ()
     n_max = args.degree if args.degree is not None else (
         _DEFAULT_N_MAX if args.n_max is None else args.n_max)
     report = VerificationReport(args.identity, args.r, n_max, t_values)

@@ -268,7 +268,6 @@ class TestXiAtScale:
 
 
 _BROKEN_HELPERS = """
-    from types import SimpleNamespace
     from beckpart import Partition, bijections
 
     print("debug", __debug__)
@@ -281,7 +280,7 @@ _BROKEN_HELPERS = """
         print("xi_forward:", exc)
     bijections._locked_split = split
     # an identity in place of xi leaves two divisible values in phi's image
-    bijections.xi_forward = lambda lam, r: SimpleNamespace(output=lam)
+    bijections._xi = lambda lam, r: lam
     try:
         bijections.phi_forward(Partition((9, 5, 3, 1)), 3)
     except bijections.ConstructionError as exc:
@@ -300,6 +299,22 @@ class TestPostconditions:
         assert out[1].startswith("xi_forward: image (1) has size 1, not 3")
         assert out[2].startswith("phi_forward: phi_forward image is not in O1r")
         assert len(out) == 3
+
+
+def test_companions_take_xi_from_the_kernel_not_the_public_entry(monkeypatch):
+    # phi, psi2^-1 and psi_o^-1 check their input once, by their own
+    # checker, so a broken public xi_forward does not reach them
+    flat = Partition((22, 19, 15, 15, 13, 10, 6, 5, 2))
+    calls = [(phi_forward, (Partition((27, 24, 20, 15, 13, 10, 6, 5, 2)), 5)),
+             (psi2_inverse, (RectanglePair(flat, 7, 2), 5, 2)),
+             (psi_o_inverse, (RectanglePair(flat, 1, 16), 5))]
+    images = [f(*args) for f, args in calls]
+
+    def broken(*args):
+        raise AssertionError("xi_forward called")
+
+    monkeypatch.setattr(bijections, "xi_forward", broken)
+    assert [f(*args) for f, args in calls] == images
 
 
 _FAULTY_BODIES = """
@@ -582,14 +597,21 @@ DIRECTIONS = [
 ]
 
 
+# xi's two directions, declared like the companions but checked by their own entries
+XI_DIRECTIONS = [
+    (xi_forward, (Family.F_R,), (Family.O_R,)),
+    (xi_inverse, (Family.O_R,), (Family.F_R,)),
+]
+
+
 def test_each_direction_is_declared_with_its_sets_and_residue_rule():
-    for f, domain, codomain in DIRECTIONS:
+    for f, domain, codomain in XI_DIRECTIONS + DIRECTIONS:
         takes_t = f.__name__.startswith(("psi1", "psi2"))
         assert (f.domain, f.codomain, f.takes_t) == (domain, codomain, takes_t), f.__name__
     # takes_t is read off the domain: of every direction the module declares,
     # exactly the four psi1 and psi2 directions take t
     declared = {f for f in vars(beckpart.bijections).values() if hasattr(f, "takes_t")}
-    assert declared == {f for f, _, _ in DIRECTIONS}
+    assert declared == {f for f, _, _ in XI_DIRECTIONS + DIRECTIONS}
     assert {f.__name__ for f in declared if f.takes_t} == {
         "psi1_forward", "psi1_inverse", "psi2_forward", "psi2_inverse"}
 
@@ -617,13 +639,13 @@ def members(n, s, r, t):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_maps_take_exactly_their_domain(r):
+    # every declared direction, xi's included, read through its declaration
     for n in range(0, 13):
         every = candidates(n)
-        for f, domain, _ in DIRECTIONS:
-            takes_t = f.__name__.startswith(("psi1", "psi2"))
-            for t in range(1, r) if takes_t else (None,):
-                args = (r, t) if takes_t else (r,)
-                inside = set().union(*(members(n, s, r, t) for s in domain))
+        for f, _, _ in XI_DIRECTIONS + DIRECTIONS:
+            for t in range(1, r) if f.takes_t else (None,):
+                args = (r, t) if f.takes_t else (r,)
+                inside = set().union(*(members(n, s, r, t) for s in f.domain))
                 for x in every:
                     if x in inside:
                         f(x, *args)

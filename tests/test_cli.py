@@ -109,9 +109,16 @@ class TestBijectionCommand:
          "error: xi_inverse needs an r-regular partition at r = 2, got (4,1)\n"),
         ("bijection --map xi --inverse --r 8 --partition 16,3",
          "error: xi_inverse needs an r-regular partition at r = 8, got (16,3)\n"),
-        # a direction whose domain is a pair set asks for the pair
+        # a direction whose domain is a pair set asks for the pair, and a
+        # pair flag on any other direction names the direction that takes none
         ("bijection --map psi-o --inverse --r 3 --partition 2,1",
-         "error: map 'psi-o' takes a pair: add --rect-count (and --rect-part)\n"),
+         "error: map 'psi-o' --inverse takes a pair: add --rect-count (and --rect-part)\n"),
+        ("bijection --map zeta --inverse --r 3 --partition 2,1",
+         "error: map 'zeta' --inverse takes a pair: add --rect-count (and --rect-part)\n"),
+        ("bijection --map psi-o --r 3 --partition 2,1 --rect-count 2",
+         "error: --rect-count is not used: map 'psi-o' (forward) takes no pair\n"),
+        ("bijection --map phi --r 3 --partition 5,1 --rect-part 2",
+         "error: --rect-part is not used: map 'phi' (forward) takes no pair\n"),
     ])
     def test_input_outside_the_domain_is_named(self, capsys, argv, err):
         assert run(capsys, *argv.split()) == (2, "", err)
@@ -572,6 +579,42 @@ class TestSizeLimits:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:") and why in done.stderr
         assert "Traceback" not in done.stderr
+
+    # A verify report past its column or value limit is refused before its
+    # first column is read, with nothing on stdout.  Every column is counted,
+    # beck1's r - 1 summands included; each of these took seconds and up to
+    # a GiB before.
+    @pytest.mark.parametrize("argv, columns", [
+        ("verify beck3 --r 2000000 --n-max 2", 2 * 1999999 + 2),
+        ("verify series --r 200000 --n-max 2", 4 + 11 * 199999),
+        ("verify beck1 --r 200000 --n-max 2", 3 + 199999),
+    ])
+    def test_verify_past_its_limits_is_refused_before_it_is_built(self, argv, columns):
+        resource = pytest.importorskip("resource")
+        cap = 1 << 29  # 512 MiB of address space for the child process
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "beckpart", *argv.split()], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit)
+        assert time.perf_counter() - start < 5
+        identity, r = argv.split()[1], argv.split()[3]
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: verify {identity} at n <= 2 is too large at r = {r}: {columns} columns "
+            f"and {3 * columns} values, past {cli.COLUMN_LIMIT} columns or "
+            f"{cli.VALUE_LIMIT} values\n")
+
+    def test_verify_past_its_value_limit_is_refused(self, capsys):
+        # four columns of n = 0..10^6 pass the value limit, not the column limit
+        assert run(capsys, "verify", "glaisher", "--r", "3", "--n-max", "1000000") == (
+            2, "", "error: verify glaisher at n <= 1000000 is too large at r = 3: 4 columns "
+            "and 4000004 values, past 200000 columns or 4000000 values\n")
 
     @staticmethod
     def peak_kib(*argv):

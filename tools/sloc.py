@@ -13,6 +13,7 @@ counts the package.
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -63,4 +64,11 @@ def main(paths):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # point stdout at os.devnull, so the flush at exit does not fail again
+        # (the SIGPIPE note of the Python signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
